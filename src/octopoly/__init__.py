@@ -56,7 +56,6 @@ from .polynomials import (
     companion,
     eg_coeffs,
     eval_at,
-    mirror,
     reduce_to_linear,
     twist_left,
     twist_two_sided,
@@ -123,7 +122,6 @@ __all__ = [
     "format_polynomial",
     "lev_class_point",
     "lev_test",
-    "mirror",
     "numeric_roots",
     "parse_octonion",
     "parse_polynomial",

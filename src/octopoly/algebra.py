@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigurationError, SingularElementError
-from .scalars import EXACT, FLOAT, MODES, ToleranceSpec, coerce_scalar, rational_sqrt
+from .scalars import EXACT, ToleranceSpec, backend_for
 
 DIVISION = "division"
 SPLIT = "split"
@@ -62,18 +62,17 @@ class DivisionCheck:
 class OctonionAlgebra:
     """The octonion algebra determined by (alpha, beta, gamma), all nonzero.
 
-    ``mode`` selects the scalar backend ('exact' or 'float'); ``tolerance``
-    is only consulted in float mode.
+    ``mode`` selects the scalar backend ('exact' or 'float'), held as
+    ``backend``; ``tolerance`` is only consulted in float mode.
     """
 
     def __init__(self, alpha, beta, gamma, mode=EXACT, tolerance=None):
-        if mode not in MODES:
-            raise ConfigurationError("mode must be one of %r" % (MODES,))
-        self.mode = mode
         self.tol = tolerance if tolerance is not None else ToleranceSpec()
-        self.alpha = coerce_scalar(alpha, mode)
-        self.beta = coerce_scalar(beta, mode)
-        self.gamma = coerce_scalar(gamma, mode)
+        self.backend = backend_for(mode, self.tol)
+        self.mode = mode
+        self.alpha = self.scalar(alpha)
+        self.beta = self.scalar(beta)
+        self.gamma = self.scalar(gamma)
         if self.alpha == 0 or self.beta == 0 or self.gamma == 0:
             raise ConfigurationError("alpha, beta, gamma must all be nonzero")
         self._zero = self.scalar(0)
@@ -86,7 +85,7 @@ class OctonionAlgebra:
         self._division = None
 
     def scalar(self, value):
-        return coerce_scalar(value, self.mode)
+        return self.backend.coerce(value)
 
     def _build_table(self):
         params = (self.alpha, self.beta, self.gamma)
@@ -164,16 +163,6 @@ class OctonionAlgebra:
         if not self.same_params(other):
             raise ConfigurationError("operands belong to different algebras")
 
-    def scalar_is_zero(self, x, scale=1.0):
-        if self.mode == EXACT:
-            return x == 0
-        return self.tol.is_zero(x, scale)
-
-    def scalars_eq(self, x, y, scale=1.0):
-        if self.mode == EXACT:
-            return x == y
-        return self.tol.eq(x, y, scale)
-
     # -- division-algebra test -----------------------------------------------
 
     def division_check(self):
@@ -193,19 +182,13 @@ class OctonionAlgebra:
     def _run_division_check(self):
         if self.alpha < 0 and self.beta < 0 and self.gamma < 0:
             return DivisionCheck(DIVISION)
+        # Otherwise some q[k] < 0, so over the reals (float mode) a witness
+        # sqrt(-q[k]) + e_k is found on the first row and the random search
+        # below is reached by exact mode only.
         q = self.norm_coeffs
-        if self.mode == FLOAT:
-            # Over the reals the form is definite or visibly isotropic.
-            for k in range(1, 8):
-                if q[k] < 0:
-                    coords = [0.0] * 8
-                    coords[0] = (-q[k]) ** 0.5
-                    coords[k] = 1.0
-                    return DivisionCheck(SPLIT, self.octonion(coords))
-            return DivisionCheck(DIVISION)
         for a in range(8):
             for b in range(a + 1, 8):
-                r = rational_sqrt(-q[b] / q[a])
+                r = self.backend.sqrt(-q[b] / q[a])
                 if r is not None:
                     coords = [self._zero] * 8
                     coords[a] = r
@@ -349,8 +332,7 @@ class Octonion:
 
     def inverse(self):
         n = self.norm()
-        scale = self.max_abs() ** 2 if self.algebra.mode == FLOAT else 1.0
-        if self.algebra.scalar_is_zero(n, scale):
+        if self.algebra.backend.is_zero(n, lambda: self.max_abs() ** 2):
             raise SingularElementError("element has (numerically) zero norm")
         return self.conj() / n
 
@@ -377,13 +359,16 @@ def bilinear_form(x, y):
 def same_class(x, y):
     """Conjugacy test: equal trace and equal norm (exact or at tolerance)."""
     x.algebra.check_same(y.algebra)
-    alg = x.algebra
     tx, nx = x.invariants()
     ty, ny = y.invariants()
-    if alg.mode == EXACT:
-        return tx == ty and nx == ny
-    s = max(1.0, x.max_abs(), y.max_abs())
-    return alg.tol.eq(tx, ty, s) and alg.tol.eq(nx, ny, s * s)
+
+    def scale():
+        return max(1.0, x.max_abs(), y.max_abs())
+
+    backend = x.algebra.backend
+    return backend.is_zero(tx - ty, scale) and backend.is_zero(
+        nx - ny, lambda: scale() * scale()
+    )
 
 
 def conjugator(g, h):
@@ -399,14 +384,12 @@ def conjugator(g, h):
     alg = g.algebra
     if not same_class(g, h):
         raise ValueError("conjugator requires elements of the same class")
-    hbar = h.conj()
-    delta = g - hbar
-    scale = max(1.0, g.max_abs(), h.max_abs())
-    if alg.mode == EXACT:
-        nonzero = not delta.is_exactly_zero()
-    else:
-        nonzero = not alg.tol.is_zero(delta.max_abs(), scale)
-    if nonzero:
+    delta = g - h.conj()
+
+    def scale():
+        return max(1.0, g.max_abs(), h.max_abs())
+
+    if not alg.backend.all_zero(delta.coords, scale):
         return delta
     # g == conj(h); central g means g == h and anything conjugates.
     if g.is_central():
@@ -417,13 +400,6 @@ def conjugator(g, h):
             candidates.append(alg.basis_element(a) + alg.basis_element(b))
     for delta in candidates:
         pairing = bilinear_form(g, delta)
-        nrm = delta.norm()
-        if alg.mode == EXACT:
-            if pairing == 0 and nrm != 0:
-                return delta
-        else:
-            if alg.tol.is_zero(pairing, scale) and not alg.tol.is_zero(
-                float(nrm), 1.0
-            ):
-                return delta
+        if alg.backend.is_zero(pairing, scale) and not alg.backend.is_zero(delta.norm()):
+            return delta
     raise ValueError("no conjugating element found")  # unreachable in a division algebra

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import NumericFailureError
-from .polynomials import CentralPolynomial
-from .scalars import EXACT, FLOAT, ToleranceSpec
+from .polynomials import CentralPolynomial, eg_sequence
+from .scalars import FLOAT, ToleranceSpec, backend_for
 
 MAX_CANDIDATE_PAIRS = 10_000
 _ABERTH_MAX_ITER = 200
@@ -48,93 +48,6 @@ class CentralRoots:
     candidates: tuple
     warnings: tuple = ()
     discarded_degree: int = 0
-
-
-# ---------------------------------------------------------------------------
-# scalar polynomial helpers (coefficient lists ascending, exact Fractions)
-# ---------------------------------------------------------------------------
-
-
-def _trim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return out
-
-
-def _pscale(p, c):
-    return [a * c for a in p]
-
-
-def _pshift(p):
-    return [Fraction(0)] + list(p)
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
-
-
-def _poly_divmod(p, d):
-    p = list(p)
-    d = _trim(d)
-    if len(p) < len(d):
-        return [Fraction(0)], _trim(p)
-    q = [Fraction(0)] * (len(p) - len(d) + 1)
-    lead = d[-1]
-    for k in range(len(p) - len(d), -1, -1):
-        coef = p[k + len(d) - 1] / lead
-        q[k] = coef
-        if coef != 0:
-            for j, b in enumerate(d):
-                p[k + j] -= coef * b
-    return _trim(q), _trim(p)
-
-
-def _poly_gcd(p, q):
-    a, b = _trim(p), _trim(q)
-    if a == [0]:
-        a, b = b, a
-    while b != [0]:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a == [0]:
-        return a
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _poly_eval_frac(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _clear_denominators(p):
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
-    content = max(content, 1)
-    return [c // content for c in ints]
 
 
 # ---------------------------------------------------------------------------
@@ -228,59 +141,78 @@ class ExactFactorization:
 
 
 def _root_bound(p):
-    """Cauchy bound: every complex root r of p has |r| <= 1 + max|p_k/p_m|."""
-    lead = abs(p[-1])
-    return 1 + max(abs(c) / lead for c in p[:-1]) if len(p) > 1 else Fraction(0)
+    """Cauchy bound of a nonconstant integer polynomial: every complex root
+    r of p has |r| <= 1 + max|p_k/p_m|."""
+    lead = abs(p.coeffs[-1])
+    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
 def _quadratic_T_values(p, n_val):
-    """All rational T such that z^2 - T*z + n_val divides p (descending).
+    """All rational T such that z^2 - T*z + n_val divides the integer
+    polynomial p (descending).
 
-    The remainder of p modulo the quadratic is r1(T)*z + r0(T) with r1, r0
-    polynomials in T (built from the power-reduction recurrence); the valid T
-    are the common rational roots, i.e. rational roots of gcd(r1, r0).  Each
+    With d the denominator of n_val, z = w/d turns the question into whether
+    w^2 - W*w + M divides P(w) = d^m p(w/d), where M = n_val*d^2 and
+    W = T*d; P and M are integers.  The remainder of P modulo that quadratic
+    is r1(W)*w + r0(W), built by the power-reduction recurrence with W as an
+    indeterminate; the valid W are the rational roots of gcd(r1, r0).  Each
     returned value is verified by trial division by the caller.
     """
-    e, g = [Fraction(0)], [Fraction(1)]
-    r1, r0 = [Fraction(0)], [Fraction(0)]
-    for i, b in enumerate(p):
-        if i > 0:
-            e, g = _padd(_pshift(e), g), _pscale(e, -n_val)
+    d = n_val.denominator
+    one = CentralPolynomial([1])
+    r1 = r0 = zero = one * 0
+    reduction = eg_sequence(n_val.numerator * d, CentralPolynomial([0, 1]), zero, one)
+    for i, (b, (e, g)) in enumerate(zip(p.coeffs, reduction)):
         if b != 0:
-            r1 = _padd(r1, _pscale(e, b))
-            r0 = _padd(r0, _pscale(g, b))
-    h = _trim(_poly_gcd(r1, r0))
-    if len(h) <= 1:
+            b *= d ** (p.degree - i)
+            r1 = r1 + b * e
+            r0 = r0 + b * g
+    h = r1.gcd(r0)
+    if h.degree < 1:
         return []
-    return sorted(_rational_roots_of(h), reverse=True)
+    return sorted((w / d for w in _rational_roots_of(h)), reverse=True)
 
 
 def _rational_roots_of(p):
     """Set of rational roots of an exact polynomial (no multiplicities)."""
-    ints = _clear_denominators(_trim(p))
+    ints = p.primitive().coeffs
     if len(ints) == 1:
         return set()
     k0 = next(i for i, c in enumerate(ints) if c != 0)
     roots = {Fraction(0)} if k0 > 0 else set()
-    ints = ints[k0:]
-    if len(ints) == 1:
+    p = CentralPolynomial(ints[k0:])
+    if p.degree == 0:
         return roots
-    bound = _root_bound([Fraction(c) for c in ints])
-    for dn in _divisors(ints[0]):
-        if dn > bound * abs(ints[-1]):
+    bound = _root_bound(p)
+    lead = p.coeffs[-1]
+    for dn in _divisors(p.coeffs[0]):
+        if dn > bound * abs(lead):
             break
-        for dd in _divisors(ints[-1]):
+        for dd in _divisors(lead):
             for sign in (1, -1):
                 r = Fraction(sign * dn, dd)
-                if abs(r) <= bound and _poly_eval_frac([Fraction(c) for c in ints], r) == 0:
+                if abs(r) <= bound and p(r) == 0:
                     roots.add(r)
     return roots
+
+
+def _divide_out(p, factor):
+    """(p / factor^k, k) for the largest k such that factor^k divides p and
+    each quotient keeps the degree of factor."""
+    mult = 0
+    while p.degree >= factor.degree:
+        q, r = divmod(p, factor)
+        if not r.is_zero():
+            break
+        p = q
+        mult += 1
+    return p, mult
 
 
 def exact_quadratic_factors(Phi: CentralPolynomial, max_pairs=MAX_CANDIDATE_PAIRS):
     """Extract every monic rational factor of degree <= 2, with multiplicity.
 
-    Rational roots come first (divisor candidates on the cleared-denominator
+    Rational roots come first (divisor candidates on the primitive integer
     form).  Monic quadratic factors z^2 - T z + N are then searched over
     candidate constants N = +-d0/d2 built from divisors of the constant and
     leading integer coefficients, pruned by the Cauchy root bound and capped
@@ -288,31 +220,23 @@ def exact_quadratic_factors(Phi: CentralPolynomial, max_pairs=MAX_CANDIDATE_PAIR
     solved exactly and verified by trial division.  An incomplete search
     returns a larger remainder, never a wrong one.
     """
-    if Phi.mode != EXACT:
+    if not all(isinstance(c, (int, Fraction)) for c in Phi.coeffs):
         raise ValueError("exact_quadratic_factors needs exact-rational coefficients")
-    rem = [Fraction(c) for c in Phi.coeffs]
+    rem = CentralPolynomial([Fraction(c) for c in Phi.coeffs])
     factors = []
 
-    # rational roots, multiplicity by repeated synthetic division
     for r in sorted(_rational_roots_of(rem)):
-        factor = [-r, Fraction(1)]
-        mult = 0
-        while len(rem) > 1:
-            q, s = _poly_divmod(rem, factor)
-            if s != [0]:
-                break
-            rem = q
-            mult += 1
+        factor = CentralPolynomial([-r, Fraction(1)])
+        rem, mult = _divide_out(rem, factor)
         if mult:
-            factors.append((CentralPolynomial(factor, EXACT), mult))
+            factors.append((factor, mult))
 
     truncated = False
-    if len(rem) > 2:
-        ints = _clear_denominators(rem)
-        bound = _root_bound([Fraction(c) for c in ints])
-        nbound = bound * bound
-        const_divs = _divisors(ints[0])
-        lead_divs = _divisors(ints[-1])
+    if rem.degree > 1:
+        ints = rem.primitive()
+        nbound = _root_bound(ints) ** 2
+        const_divs = _divisors(ints.coeffs[0])
+        lead_divs = _divisors(ints.coeffs[-1])
         seen = set()
         pairs = 0
         for dd in lead_divs:
@@ -326,41 +250,25 @@ def exact_quadratic_factors(Phi: CentralPolynomial, max_pairs=MAX_CANDIDATE_PAIR
                     if n_val in seen or abs(n_val) > nbound:
                         continue
                     seen.add(n_val)
-                    if len(rem) <= 2:
+                    if rem.degree <= 1:
                         continue
-                    for t_val in _quadratic_T_values(rem, n_val):
-                        factor = [n_val, -t_val, Fraction(1)]
-                        mult = 0
-                        while len(rem) > 2:
-                            q, s = _poly_divmod(rem, factor)
-                            if s != [0]:
-                                break
-                            rem = q
-                            mult += 1
+                    for t_val in _quadratic_T_values(ints, n_val):
+                        factor = CentralPolynomial([n_val, -t_val, Fraction(1)])
+                        rem, mult = _divide_out(rem, factor)
                         if mult:
-                            factors.append((CentralPolynomial(factor, EXACT), mult))
-            if truncated or len(rem) <= 2:
+                            factors.append((factor, mult))
+                            ints = rem.primitive()
+            if truncated or rem.degree <= 1:
                 break
 
     # with every rational root removed first, the remainder is a constant or
     # has degree >= 3; a linear leftover would contradict the root extraction
-    remainder = CentralPolynomial(rem, EXACT)
-    return ExactFactorization(tuple(factors), remainder, truncated)
+    return ExactFactorization(tuple(factors), rem, truncated)
 
 
 # ---------------------------------------------------------------------------
 # float roots: simultaneous iteration
 # ---------------------------------------------------------------------------
-
-
-def _horner_pair(coeffs, z):
-    """(p(z), p'(z)) by a joint Horner pass; coefficients ascending."""
-    p = 0j
-    dp = 0j
-    for c in reversed(coeffs):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
 
 
 def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
@@ -374,19 +282,18 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     abs_eps + rel_eps * sum_k |b_k| |r|^k.
     """
     tol = tol or ToleranceSpec()
-    coeffs = [float(c) for c in coeffs]
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs.pop()
-    n = len(coeffs) - 1
+    poly = CentralPolynomial([float(c) for c in coeffs], FLOAT)
+    coeffs = poly.coeffs
+    n = poly.degree
     if n < 1:
         raise ValueError("numeric_roots needs degree >= 1")
     scale = max(abs(c) for c in coeffs)
     if tol.is_zero(coeffs[-1], scale):
         raise ValueError("leading coefficient is zero at the coefficient scale")
-    monic = [c / coeffs[-1] for c in coeffs]
+    monic = CentralPolynomial([c / coeffs[-1] for c in coeffs], FLOAT)
 
     rng = random.Random(0xAB3A7)
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
+    radius = 1.0 + max(abs(c) for c in monic.coeffs[:-1])
     z = [
         radius
         * complex(
@@ -399,7 +306,7 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     for _ in range(_ABERTH_MAX_ITER):
         moved = 0.0
         for i in range(n):
-            p, dp = _horner_pair(monic, z[i])
+            p, dp = monic.value_and_derivative(z[i])
             if p == 0:
                 continue
             if dp == 0:
@@ -417,13 +324,13 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
         if moved < step_tol:
             break
     for i in range(n):
-        p, dp = _horner_pair(monic, z[i])
+        p, dp = monic.value_and_derivative(z[i])
         if dp != 0:
             z[i] -= p / dp
 
     residuals = []
     for r in z:
-        val, _ = _horner_pair(coeffs, r)
+        val, _ = poly.value_and_derivative(r)
         bound = tol.abs_eps + tol.rel_eps * sum(
             abs(c) * abs(r) ** k for k, c in enumerate(coeffs)
         )
@@ -460,11 +367,9 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     return out
 
 
-def _merge_scale(coeffs, r):
-    return sum(abs(c) * max(1.0, abs(r)) ** k for k, c in enumerate(coeffs))
-
-
-def _float_candidates(Phi, tol):
+def float_candidates(Phi, tol):
+    """Class candidates of a float polynomial from its numeric roots, with
+    clustered roots counted as one candidate of higher multiplicity."""
     roots = numeric_roots(Phi.coeffs, tol)
     # cluster equal roots; the merge radius lives at the scale the polynomial
     # values do, which is what lets squared factors collapse to one root
@@ -473,8 +378,10 @@ def _float_candidates(Phi, tol):
         merged = False
         for cl in clusters:
             cre, cim = cl[0] / cl[2], cl[1] / cl[2]
+            mag = max(1.0, abs(complex(re, im)))
             radius = 10 * (
-                tol.abs_eps + tol.rel_eps * _merge_scale(Phi.coeffs, complex(re, im))
+                tol.abs_eps
+                + tol.rel_eps * sum(abs(c) * mag**k for k, c in enumerate(Phi.coeffs))
             )
             if abs(complex(re, im) - complex(cre, cim)) <= radius:
                 cl[0] += re
@@ -519,21 +426,10 @@ def _float_candidates(Phi, tol):
 # ---------------------------------------------------------------------------
 
 
-def central_roots(Phi: CentralPolynomial, tol=None, max_pairs=MAX_CANDIDATE_PAIRS):
-    """Conjugacy-class candidates for all closure roots of Phi of degree <= 2.
-
-    Candidates are deduplicated on (trace, norm) with summed multiplicity and
-    sorted by (norm, -trace).  In exact mode, roots generating extensions of
-    degree > 2 end up in ``discarded_degree``; if the factor search was
-    truncated, approximate candidates from the float root finder are appended
-    with a warning.
-    """
-    tol = tol or ToleranceSpec()
-    if Phi.degree < 1:
-        raise ValueError("central_roots needs a nonconstant polynomial")
-    if Phi.mode == FLOAT:
-        return CentralRoots(tuple(_float_candidates(Phi, tol)))
-
+def exact_candidates(Phi, max_pairs, tol):
+    """Class candidates of an exact polynomial from its rational factors of
+    degree <= 2; a truncated factor search adds approximate candidates from
+    the float roots of the remainder (found at tolerance ``tol``)."""
     fact = exact_quadratic_factors(Phi, max_pairs)
     cands = []
     for poly, mult in fact.factors:
@@ -555,15 +451,9 @@ def central_roots(Phi: CentralPolynomial, tol=None, max_pairs=MAX_CANDIDATE_PAIR
             float_rem = CentralPolynomial(
                 [float(c) for c in fact.remainder.coeffs], FLOAT
             )
-            for c in _float_candidates(float_rem, tol):
+            for c in float_candidates(float_rem, tol):
                 cands.append(
-                    ClassCandidate(
-                        Fraction(c.trace),
-                        Fraction(c.norm),
-                        c.field_degree,
-                        c.multiplicity,
-                        approx=True,
-                    )
+                    replace(c, trace=Fraction(c.trace), norm=Fraction(c.norm), approx=True)
                 )
         else:
             discarded = fact.remainder.degree
@@ -574,3 +464,17 @@ def central_roots(Phi: CentralPolynomial, tol=None, max_pairs=MAX_CANDIDATE_PAIR
             )
     cands.sort(key=lambda c: (c.norm, -c.trace))
     return CentralRoots(tuple(cands), tuple(warnings), discarded)
+
+
+def central_roots(Phi: CentralPolynomial, tol=None, max_pairs=MAX_CANDIDATE_PAIRS):
+    """Conjugacy-class candidates for all closure roots of Phi of degree <= 2.
+
+    Candidates are deduplicated on (trace, norm) with summed multiplicity and
+    sorted by (norm, -trace).  In exact mode, roots generating extensions of
+    degree > 2 end up in ``discarded_degree``; if the factor search was
+    truncated, approximate candidates from the float root finder are appended
+    with a warning.
+    """
+    if Phi.degree < 1:
+        raise ValueError("central_roots needs a nonconstant polynomial")
+    return backend_for(Phi.mode, tol).class_candidates(Phi, max_pairs)

@@ -2,9 +2,13 @@
 
 Both commands parse the algebra parameters and polynomial from flags, run the
 corresponding query and print one JSON document on stdout (warnings also go
-to stderr).  Exit codes: 0 success, 2 parse/contract error, 3 unsupported
-(split) algebra, 4 numeric failure.  In exact mode the output is
-byte-identical across runs for identical inputs.
+to stderr).  In exact mode the output is byte-identical across runs for
+identical inputs.  Exit codes: 0 success; 2 a bad flag, ``ParseError``,
+``ConfigurationError`` (a zero algebra parameter, a negative or non-finite
+tolerance), a ``ValueError``/``TypeError`` contract error (e.g. a non-monic
+eigen polynomial) or any other ``OctopolyError``; 3
+``UnsupportedAlgebraError`` (split algebra) or ``SingularElementError`` (an
+element of zero norm was inverted); 4 ``NumericFailureError``.
 """
 
 from __future__ import annotations
@@ -16,9 +20,15 @@ from fractions import Fraction
 
 from .algebra import OctonionAlgebra
 from .eigen import lev_test, rev_test
-from .errors import NumericFailureError, ParseError, UnsupportedAlgebraError
+from .errors import (
+    NumericFailureError,
+    OctopolyError,
+    ParseError,
+    SingularElementError,
+    UnsupportedAlgebraError,
+)
 from .literals import format_octonion, parse_octonion, parse_polynomial
-from .scalars import EXACT, FLOAT, ToleranceSpec, format_scalar
+from .scalars import EXACT, FLOAT, ToleranceSpec
 from .solver import FULL_CLASS, SINGLE_ROOT, solve
 
 EXIT_OK = 0
@@ -42,8 +52,8 @@ def _build_parser():
         p.add_argument(
             "--mode", choices=[EXACT, FLOAT], default=EXACT, help="scalar backend"
         )
-        p.add_argument("--abs-eps", type=float, default=None)
-        p.add_argument("--rel-eps", type=float, default=None)
+        p.add_argument("--abs-eps", type=float, default=ToleranceSpec.abs_eps)
+        p.add_argument("--rel-eps", type=float, default=ToleranceSpec.rel_eps)
         p.add_argument("--poly", required=True, help="polynomial literal, e.g. 'i*z^2 + j*z + l'")
         style = p.add_mutually_exclusive_group()
         style.add_argument("--json", action="store_true", help="compact JSON (default)")
@@ -62,11 +72,7 @@ def _build_parser():
 
 
 def _algebra_from_args(args):
-    spec = ToleranceSpec()
-    spec = ToleranceSpec(
-        abs_eps=args.abs_eps if args.abs_eps is not None else spec.abs_eps,
-        rel_eps=args.rel_eps if args.rel_eps is not None else spec.rel_eps,
-    )
+    spec = ToleranceSpec(abs_eps=args.abs_eps, rel_eps=args.rel_eps)
     try:
         alpha = Fraction(args.alpha)
         beta = Fraction(args.beta)
@@ -77,14 +83,14 @@ def _algebra_from_args(args):
 
 
 def _coords(x):
-    return [format_scalar(c, x.algebra.mode) for c in x.coords]
+    return [x.algebra.backend.format(c) for c in x.coords]
 
 
 def _algebra_json(alg):
     data = {
-        "alpha": format_scalar(alg.alpha, alg.mode),
-        "beta": format_scalar(alg.beta, alg.mode),
-        "gamma": format_scalar(alg.gamma, alg.mode),
+        "alpha": alg.backend.format(alg.alpha),
+        "beta": alg.backend.format(alg.beta),
+        "gamma": alg.backend.format(alg.gamma),
         "mode": alg.mode,
         "division": alg.division_check().status,
     }
@@ -110,8 +116,8 @@ def _cmd_solve(args):
     classes = []
     for cand, res in report.classes:
         entry = {
-            "trace": format_scalar(cand.trace, alg.mode),
-            "norm": format_scalar(cand.norm, alg.mode),
+            "trace": alg.backend.format(cand.trace),
+            "norm": alg.backend.format(cand.norm),
             "field_degree": cand.field_degree,
             "multiplicity": cand.multiplicity,
             "resolution": res.status,
@@ -129,7 +135,7 @@ def _cmd_solve(args):
             "side": phi.side.value,
             "coefficients": [_coords(c) for c in phi.coeffs],
         },
-        "companion": [format_scalar(b, alg.mode) for b in report.companion.coeffs],
+        "companion": [alg.backend.format(b) for b in report.companion.coeffs],
         "classes": classes,
         "warnings": list(report.warnings),
     }
@@ -157,8 +163,8 @@ def _cmd_eigen(args):
             else None
         ),
         "class": {
-            "trace": format_scalar(trace, alg.mode),
-            "norm": format_scalar(norm, alg.mode),
+            "trace": alg.backend.format(trace),
+            "norm": alg.backend.format(norm),
         },
     }
     _dump(doc, args)
@@ -201,15 +207,15 @@ def main(argv=None):
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, TypeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except UnsupportedAlgebraError as exc:
+    except (UnsupportedAlgebraError, SingularElementError) as exc:
         print("unsupported algebra: %s" % exc, file=sys.stderr)
         return EXIT_UNSUPPORTED
     except NumericFailureError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
+    except (OctopolyError, ValueError, TypeError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
 
 
 def console_entry():

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import Octonion
 from .central import MAX_CANDIDATE_PAIRS, central_roots
-from .linalg import exact_nullspace_vector, float_nullspace_vector
 from .polynomials import Side, StandardPolynomial, companion, reduce_to_linear
-from .scalars import EXACT
 from .solver import class_witness, verify_root
 
 
@@ -93,10 +91,7 @@ def _membership(phi, lam, side):
     phi.algebra.check_same(lam.algebra)
     alg = phi.algebra
     matrix, powers = _operator_matrix(phi, lam, side)
-    if alg.mode == EXACT:
-        kernel = exact_nullspace_vector(matrix)
-    else:
-        kernel = float_nullspace_vector(matrix, alg.tol)
+    kernel = alg.backend.nullspace(matrix)
     if kernel is None:
         return MembershipReport(False)
     gamma = alg.octonion(kernel)
@@ -129,14 +124,11 @@ def _class_point_parts(phi, norm, trace, g):
     if not phi.is_monic():
         raise ValueError("class points require a monic polynomial")
     red = reduce_to_linear(phi, norm, trace)
-    if phi.algebra.mode == EXACT:
-        if red.E.is_exactly_zero():
-            raise ValueError(
-                "E(N,T) = 0: the whole class consists of eigenvalues; "
-                "use a class witness instead"
-            )
-    elif phi.algebra.tol.is_zero(red.E.max_abs(), 1.0):
-        raise ValueError("E(N,T) is numerically zero; use a class witness")
+    if phi.algebra.backend.all_zero(red.E.coords):
+        raise ValueError(
+            "E(N,T) = 0: the whole class consists of eigenvalues; "
+            "use a class witness instead"
+        )
     return red.E.inverse(), red.G, g.inverse()
 
 
@@ -192,15 +184,14 @@ def verify_eigen_pair(C: CompanionMatrix, lam: Octonion, vec, side) -> bool:
         for c in range(C.degree):
             acc = acc + C.entries[r][c] * vec[c]
         want = lam * vec[r] if side == Side.LEFT else vec[r] * lam
-        diff = acc - want
-        if alg.mode == EXACT:
-            ok = ok and diff.is_exactly_zero()
-        else:
-            scale = sum(
+
+        def scale():
+            return sum(
                 C.entries[r][c].max_abs() * vec[c].max_abs()
                 for c in range(C.degree)
             ) + lam.max_abs() * vec[r].max_abs()
-            ok = ok and all(alg.tol.is_zero(float(x), scale) for x in diff.coords)
+
+        ok = ok and alg.backend.all_zero((acc - want).coords, scale)
     return ok
 
 

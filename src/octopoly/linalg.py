@@ -12,14 +12,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import ToleranceSpec
 
-
-def _clear_row(row):
-    den = 1
-    for x in row:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    return [int(x * den) for x in row]
+def clear_denominators(values):
+    """The rationals ``values`` times the least common multiple of their
+    denominators, as ints."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [int(x * den) for x in values]
 
 
 def exact_nullspace_vector(rows):
@@ -27,7 +25,7 @@ def exact_nullspace_vector(rows):
 
     The vector is normalized so its first nonzero coordinate is 1.
     """
-    m = [_clear_row([Fraction(x) for x in row]) for row in rows]
+    m = [clear_denominators([Fraction(x) for x in row]) for row in rows]
     nrows = len(m)
     ncols = len(m[0])
     prev = 1
@@ -60,11 +58,12 @@ def exact_nullspace_vector(rows):
     return [v / lead for v in x]
 
 
-def float_nullspace_vector(rows, tol: ToleranceSpec):
+def float_nullspace_vector(rows, tol):
     """One kernel vector of a float matrix, or None if numerically regular.
 
     Pivots are chosen by largest magnitude in the current column and declared
-    zero at the scale of the largest original entry.  The vector is
+    zero by the ToleranceSpec ``tol`` at the scale of the largest original
+    entry.  The vector is
     normalized to unit max-coordinate.
     """
     m = [[float(x) for x in row] for row in rows]

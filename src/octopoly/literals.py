@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .scalars import EXACT, format_scalar
 
 BASIS_SYMBOLS = {"1": 0, "i": 1, "j": 2, "k": 3, "l": 4, "il": 5, "jl": 6, "kl": 7}
 _SYMBOL_FOR_INDEX = {0: "1", 1: "i", 2: "j", 3: "k", 4: "l", 5: "il", 6: "jl", 7: "kl"}
@@ -74,9 +73,10 @@ class _Parser:
     def number(self, tok):
         txt = tok[1]
         if "." in txt or "e" in txt or "E" in txt:
-            if self.algebra.mode == EXACT:
+            try:
+                return self.algebra.scalar(float(txt))
+            except TypeError:  # the exact backend refuses floats
                 self.fail("decimal coefficients need float mode", tok)
-            return self.algebra.scalar(float(txt))
         return self.algebra.scalar(txt)
 
     def sign(self):
@@ -214,19 +214,15 @@ def _z_degree(p):
 
 def format_octonion(x):
     """Canonical literal form; parse_octonion(format_octonion(x)) == x."""
-    mode = x.algebra.mode
+    backend = x.algebra.backend
     parts = []
     for idx, c in enumerate(x.coords):
         if c == 0:
             continue
-        mag = format_scalar(abs(c), mode)
-        sym = _SYMBOL_FOR_INDEX[idx]
         if idx == 0:
-            body = mag
-        elif abs(c) == 1 and mode == EXACT:
-            body = sym
+            body = backend.format(abs(c))
         else:
-            body = "%s*%s" % (mag, sym)
+            body = backend.term(abs(c), _SYMBOL_FOR_INDEX[idx])
         parts.append(("-" if c < 0 else "+", body))
     if not parts:
         return "0"

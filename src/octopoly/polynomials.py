@@ -10,9 +10,13 @@ z^2 = T z - N to a linear form E z + G, and produces both twist families.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import Octonion, OctonionAlgebra
+from .linalg import clear_denominators
 from .scalars import EXACT
 
 
@@ -90,20 +94,93 @@ def eval_at(phi: StandardPolynomial, lam: Octonion) -> Octonion:
 
 
 class CentralPolynomial:
-    """Polynomial with central (scalar) coefficients b_0..b_m."""
+    """Polynomial with central (scalar) coefficients b_0..b_m.
+
+    The constructor rejects the zero polynomial, which arithmetic may return
+    as the single coefficient 0.  Division, gcd and the primitive form need
+    rational coefficients.
+    """
 
     def __init__(self, coeffs, mode=EXACT):
+        self.coeffs = self._make(coeffs, mode).coeffs
+        self.mode = mode
+        if self.is_zero():
+            raise ValueError("the zero polynomial is not a valid CentralPolynomial")
+
+    @classmethod
+    def _make(cls, coeffs, mode):
+        """Trailing zero coefficients stripped; the zero polynomial allowed."""
+        p = cls.__new__(cls)
         coeffs = list(coeffs)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        if not coeffs or all(c == 0 for c in coeffs):
-            raise ValueError("the zero polynomial is not a valid CentralPolynomial")
-        self.coeffs = tuple(coeffs)
-        self.mode = mode
+        p.coeffs = tuple(coeffs) or (0,)
+        p.mode = mode
+        return p
 
     @property
     def degree(self):
         return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return self.coeffs == (0,)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return self._make(out, self.mode)
+
+    def __mul__(self, other):
+        """Product with a polynomial or, on either side, a scalar."""
+        if not isinstance(other, CentralPolynomial):
+            return self._make([c * other for c in self.coeffs], self.mode)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a != 0:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return self._make(out, self.mode)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, divisor):
+        """(quotient, remainder) of exact division by a nonzero polynomial."""
+        p = list(self.coeffs)
+        d = divisor.coeffs
+        q = [0] * max(len(p) - len(d) + 1, 1)
+        for k in range(len(p) - len(d), -1, -1):
+            coef = Fraction(p[k + len(d) - 1], d[-1])
+            q[k] = coef
+            if coef != 0:
+                for j, b in enumerate(d):
+                    p[k + j] -= coef * b
+        return self._make(q, self.mode), self._make(p, self.mode)
+
+    def gcd(self, other):
+        """Monic greatest common divisor (zero when both are zero)."""
+        a, b = self.primitive(), other.primitive()
+        while not b.is_zero():
+            a, b = b, divmod(a, b)[1].primitive()
+        return a if a.is_zero() else a * Fraction(1, a.coeffs[-1])
+
+    def primitive(self):
+        """The integer polynomial with coprime coefficients that is a positive
+        multiple of this one."""
+        ints = clear_denominators(self.coeffs)
+        content = math.gcd(*ints) or 1
+        return self._make([c // content for c in ints], self.mode)
+
+    def value_and_derivative(self, z):
+        """(p(z), p'(z)) at a complex z by one joint Horner pass."""
+        p = dp = 0j
+        for c in reversed(self.coeffs):
+            dp = dp * z + p
+            p = p * z + c
+        return p, dp
 
     def __eq__(self, other):
         if not isinstance(other, CentralPolynomial):
@@ -132,11 +209,6 @@ class CentralPolynomial:
         return acc
 
 
-def mirror(phi: StandardPolynomial) -> StandardPolynomial:
-    """Same coefficients, opposite side of the variable; an involution."""
-    return phi.mirror()
-
-
 def companion(phi: StandardPolynomial) -> CentralPolynomial:
     """The degree-2n central companion polynomial of a LEFT polynomial.
 
@@ -157,16 +229,26 @@ def companion(phi: StandardPolynomial) -> CentralPolynomial:
     return CentralPolynomial(b, phi.algebra.mode)
 
 
+def eg_sequence(norm, trace, zero, one):
+    """Yield (e_i, g_i) for i = 0, 1, 2, ... with z^i = e_i z + g_i whenever
+    z^2 = trace*z - norm, starting from (e_0, g_0) = (zero, one).
+
+    Recurrence: e_{i+1} = T e_i + g_i, g_{i+1} = -N e_i.  The operands need
+    only + and *, so T may be a polynomial indeterminate.
+    """
+    e, g = zero, one
+    while True:
+        yield e, g
+        e, g = trace * e + g, -norm * e
+
+
 def eg_coeffs(norm, trace, i):
     """Central coefficients (e_i, g_i) with z^i = e_i z + g_i whenever
-    z^2 = trace*z - norm.  Recurrence: e_{i+1} = T e_i + g_i, g_{i+1} = -N e_i."""
+    z^2 = trace*z - norm."""
     if i < 0:
         raise ValueError("power index must be nonnegative")
     zero = norm * 0
-    e, g = zero, zero + 1
-    for _ in range(i):
-        e, g = trace * e + g, -norm * e
-    return e, g
+    return next(itertools.islice(eg_sequence(norm, trace, zero, zero + 1), i, None))
 
 
 @dataclass(frozen=True)
@@ -189,10 +271,7 @@ def reduce_to_linear(phi: StandardPolynomial, norm, trace) -> ReducedLinearForm:
     trace = alg.scalar(trace)
     E = alg.zero
     G = alg.zero
-    e, g = alg.scalar(0), alg.scalar(1)
-    for i, c in enumerate(phi.coeffs):
-        if i > 0:
-            e, g = trace * e + g, -norm * e
+    for c, (e, g) in zip(phi.coeffs, eg_sequence(norm, trace, alg._zero, alg._one)):
         E = E + c * e
         G = G + c * g
     return ReducedLinearForm(E=E, G=G, norm=norm, trace=trace)

@@ -20,10 +20,10 @@ from .polynomials import (
     Side,
     StandardPolynomial,
     companion,
+    eg_sequence,
     eval_at,
     reduce_to_linear,
 )
-from .scalars import EXACT, FLOAT, rational_sqrt
 
 SINGLE_ROOT = "single_root"
 FULL_CLASS = "full_class"
@@ -70,48 +70,40 @@ def verify_root(phi: StandardPolynomial, lam: Octonion) -> bool:
     """Substitute and test for zero: exactly in exact mode, zero-at-scale
     with scale sum_i ||c_i|| * ||lam||^i (max-coordinate norms) in float."""
     value = eval_at(phi, lam)
-    alg = phi.algebra
-    if alg.mode == EXACT:
-        return value.is_exactly_zero()
-    lam_mag = lam.max_abs()
-    scale = sum(c.max_abs() * lam_mag**i for i, c in enumerate(phi.coeffs))
-    return all(alg.tol.is_zero(float(c), scale) for c in value.coords)
+
+    def scale():
+        lam_mag = lam.max_abs()
+        return sum(c.max_abs() * lam_mag**i for i, c in enumerate(phi.coeffs))
+
+    return phi.algebra.backend.all_zero(value.coords, scale)
 
 
 def class_witness(algebra: OctonionAlgebra, norm, trace):
     """An element with the given invariants, or None if none was found.
 
     The witness is trace/2 + u with u pure of norm s = norm - trace^2/4.
-    Exact mode tries each pure basis direction, then two-direction
-    combinations with numerators and denominators up to height 50; float mode
-    scales the first pure direction whose form coefficient has the right
-    sign.  Absence is a legal return -- the caller decides how to report it.
+    Each pure basis direction is tried first, with the backend's square root
+    (over the reals, in float mode, this finds a witness whenever one
+    exists); then two-direction combinations with numerators and
+    denominators up to height 50.  Absence is a legal return -- the caller
+    decides how to report it.
     """
     norm = algebra.scalar(norm)
     trace = algebra.scalar(trace)
     half_t = trace / 2
     s = norm - half_t * half_t
     q = algebra.norm_coeffs
-    if algebra.mode == FLOAT:
-        if algebra.tol.is_zero(s, max(1.0, abs(norm), trace * trace)):
-            return algebra.scalar_octonion(half_t)
-        for k in range(1, 8):
-            ratio = s / q[k]
-            if ratio > 0:
-                coords = [0.0] * 8
-                coords[0] = half_t
-                coords[k] = ratio**0.5
-                return algebra.octonion(coords)
-        return None
-    if s == 0:
+    if algebra.backend.is_zero(s, lambda: max(1.0, abs(norm), trace * trace)):
         return algebra.scalar_octonion(half_t)
     for k in range(1, 8):
-        r = rational_sqrt(s / q[k])
+        r = algebra.backend.sqrt(s / q[k])
         if r is not None:
-            coords = [Fraction(0)] * 8
+            coords = [algebra._zero] * 8
             coords[0] = half_t
             coords[k] = r
             return algebra.octonion(coords)
+    if all(s / q[k] < 0 for k in range(1, 8)):
+        return None  # the pure norm form never takes the sign of s
     for a in range(1, 8):
         for b in range(a + 1, 8):
             for den in range(1, _WITNESS_HEIGHT + 1):
@@ -120,7 +112,7 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
                     if t_a.numerator != num:
                         continue  # not in lowest terms; already tried
                     rest = (s - q[a] * t_a * t_a) / q[b]
-                    t_b = rational_sqrt(rest)
+                    t_b = algebra.backend.sqrt(rest)
                     if t_b is not None:
                         coords = [Fraction(0)] * 8
                         coords[0] = half_t
@@ -130,21 +122,13 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
     return None
 
 
-def _octonion_is_zero(x: Octonion, scale):
-    if x.algebra.mode == EXACT:
-        return x.is_exactly_zero()
-    return all(x.algebra.tol.is_zero(float(c), scale) for c in x.coords)
-
-
 def _invariants_match(lam: Octonion, trace, norm):
-    alg = lam.algebra
+    backend = lam.algebra.backend
     t, n = lam.invariants()
-    if alg.mode == EXACT:
-        return t == trace and n == norm
-    mag = lam.max_abs()
-    return alg.tol.eq(t, trace, max(1.0, abs(trace), mag)) and alg.tol.eq(
-        n, norm, max(1.0, abs(norm), mag * mag)
-    )
+    mag = lam.max_abs
+    return backend.is_zero(
+        t - trace, lambda: max(1.0, abs(trace), mag())
+    ) and backend.is_zero(n - norm, lambda: max(1.0, abs(norm), mag() * mag()))
 
 
 def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolution:
@@ -158,7 +142,7 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
     -E^-1 G, emitted only if substitution and the invariants check out.
     """
     alg = phi.algebra
-    if cand.approx and alg.mode == EXACT:
+    if cand.approx:
         return ClassResolution(
             UNDETERMINED,
             reason="candidate came from the float fallback; no exact resolution",
@@ -171,19 +155,16 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
             return ClassResolution(SINGLE_ROOT, root=lam)
         return ClassResolution(NO_ROOT_IN_CLASS)
     red = reduce_to_linear(phi, norm, trace)
-    # magnitude the coefficient sums live at, for the float zero decisions
-    if alg.mode == FLOAT:
-        e_scale = g_scale = 0.0
-        e_i, g_i = 0.0, 1.0
-        for i, c in enumerate(phi.coeffs):
-            if i > 0:
-                e_i, g_i = trace * e_i + g_i, -norm * e_i
-            e_scale += c.max_abs() * abs(e_i)
-            g_scale += c.max_abs() * abs(g_i)
-    else:
-        e_scale = g_scale = 1.0
-    if _octonion_is_zero(red.E, e_scale):
-        if _octonion_is_zero(red.G, g_scale):
+
+    def scale(k):
+        """Magnitude the sum E (k = 0) or G (k = 1) lives at."""
+        return lambda: sum(
+            c.max_abs() * abs(eg[k])
+            for c, eg in zip(phi.coeffs, eg_sequence(norm, trace, alg._zero, alg._one))
+        )
+
+    if alg.backend.all_zero(red.E.coords, scale(0)):
+        if alg.backend.all_zero(red.G.coords, scale(1)):
             witness = class_witness(alg, norm, trace)
             if witness is None:
                 return ClassResolution(

@@ -122,6 +122,17 @@ def test_conjugator_examples(alg):
     assert conjugator(alg.scalar_octonion(5), alg.scalar_octonion(5)) == alg.one
 
 
+def test_exact_decisions_need_no_float_scale(alg):
+    # coordinates far beyond float range: exact zero tests never convert to float
+    big = 10**400
+    i, j = alg.basis_element(1), alg.basis_element(2)
+    g, h = big * i, big * j
+    assert same_class(g, h)
+    d = conjugator(g, h)
+    assert (d * h) * d.inverse() == g
+    assert conjugator(g, g.conj()) == j
+
+
 def test_conjugator_random(alg, rng):
     for _ in range(100):
         h = rand_octonion(rng, alg, lo=-5, hi=5)

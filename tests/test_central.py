@@ -219,8 +219,6 @@ def test_numeric_roots_failure_carries_residuals():
 
 def test_candidate_soundness_exact(rng):
     # each candidate's minimal polynomial divides Phi exactly
-    from octopoly.central import _poly_divmod
-
     for _ in range(20):
         coeffs = [F(rng.randint(-4, 4)) for _ in range(rng.randint(3, 7))]
         coeffs.append(F(rng.randint(1, 4)))
@@ -230,8 +228,8 @@ def test_candidate_soundness_exact(rng):
                 factor = [-c.trace / 2, F(1)]
             else:
                 factor = [c.norm, -c.trace, F(1)]
-            _, rem = _poly_divmod(list(Phi.coeffs), factor)
-            assert rem == [F(0)]
+            _, rem = divmod(Phi, CentralPolynomial(factor))
+            assert list(rem.coeffs) == [F(0)]
 
 
 # -- central_roots, float -----------------------------------------------------

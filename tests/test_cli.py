@@ -155,6 +155,14 @@ def test_cli_exit_codes(capsys):
     assert "monic" in err
 
 
+def test_cli_configuration_errors_exit_2(capsys):
+    # a zero algebra parameter and a negative tolerance are configuration
+    # errors: documented exit 2, no traceback and no negative residual bound
+    assert main(["solve", "--alpha", "0", "--poly", "z^2 + 1"]) == 2
+    assert main(["solve", "--mode", "float", "--abs-eps", "-1", "--poly", "z^2 + 1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_float_mode(capsys):
     rc = main(
         [
