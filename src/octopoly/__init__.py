@@ -11,7 +11,6 @@ eigen``) fronts the same machinery with JSON reports.
 from .algebra import (
     DIVISION,
     SPLIT,
-    UNVERIFIED,
     DivisionCheck,
     Octonion,
     OctonionAlgebra,
@@ -30,6 +29,7 @@ from .central import (
 from .eigen import (
     CompanionMatrix,
     MembershipReport,
+    Side,
     companion_matrix,
     lev_test,
     lev_class_point,
@@ -51,7 +51,6 @@ from .literals import format_octonion, format_polynomial, parse_octonion, parse_
 from .polynomials import (
     CentralPolynomial,
     ReducedLinearForm,
-    Side,
     StandardPolynomial,
     companion,
     eg_coeffs,
@@ -107,7 +106,6 @@ __all__ = [
     "StandardPolynomial",
     "ToleranceSpec",
     "UNDETERMINED",
-    "UNVERIFIED",
     "UnsupportedAlgebraError",
     "bilinear_form",
     "central_roots",

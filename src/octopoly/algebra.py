@@ -26,7 +26,6 @@ from .scalars import EXACT, ToleranceSpec, backend_for
 
 DIVISION = "division"
 SPLIT = "split"
-UNVERIFIED = "unverified"
 
 _ISOTROPY_SAMPLES = 10_000
 
@@ -51,9 +50,9 @@ def _cd_mul(x, y, params):
 
 @dataclass(frozen=True)
 class DivisionCheck:
-    """Outcome of the division-algebra test: the norm form is provably
-    anisotropic (``division``), an isotropic witness was found (``split``),
-    or neither could be established (``unverified``)."""
+    """Outcome of the division-algebra test: the norm form is anisotropic
+    (``division``) or isotropic (``split``); a split outcome carries an
+    explicit isotropic witness when the search found one, else None."""
 
     status: str
     witness: "Octonion | None" = None
@@ -168,12 +167,12 @@ class OctonionAlgebra:
     def division_check(self):
         """Classify the algebra by (an)isotropy of its 8-variable norm form.
 
-        Returned statuses: ``division`` if all three parameters are negative
-        (the form is then positive definite), ``split`` together with an
-        explicit isotropic witness when one is found, else ``unverified``.
-        Anisotropy over Q cannot be decided by naive search, so ``division``
-        is never claimed without the definiteness criterion.  The result is
-        cached per algebra.
+        The status is ``division`` if all three parameters are negative (the
+        form is then positive definite) and ``split`` otherwise: an indefinite
+        form is isotropic over the reals and, in dimension 8 > 4, over every
+        p-adic field, hence over Q by Hasse-Minkowski.  A split status carries
+        an isotropic witness when a direct or bounded random search finds one.
+        The result is cached per algebra.
         """
         if self._division is None:
             self._division = self._run_division_check()
@@ -202,7 +201,7 @@ class OctonionAlgebra:
             x = self.octonion(coords)
             if not x.is_exactly_zero() and x.norm() == 0:
                 return DivisionCheck(SPLIT, x)
-        return DivisionCheck(UNVERIFIED)
+        return DivisionCheck(SPLIT)
 
     def __repr__(self):
         return "OctonionAlgebra(alpha=%s, beta=%s, gamma=%s, mode=%r)" % (

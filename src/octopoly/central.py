@@ -209,16 +209,16 @@ def _divide_out(p, factor):
     return p, mult
 
 
-def exact_quadratic_factors(Phi: CentralPolynomial, max_pairs=MAX_CANDIDATE_PAIRS):
+def exact_quadratic_factors(Phi: CentralPolynomial):
     """Extract every monic rational factor of degree <= 2, with multiplicity.
 
     Rational roots come first (divisor candidates on the primitive integer
     form).  Monic quadratic factors z^2 - T z + N are then searched over
     candidate constants N = +-d0/d2 built from divisors of the constant and
     leading integer coefficients, pruned by the Cauchy root bound and capped
-    at ``max_pairs`` candidate pairs; for each N the matching T values are
-    solved exactly and verified by trial division.  An incomplete search
-    returns a larger remainder, never a wrong one.
+    at ``MAX_CANDIDATE_PAIRS`` candidate pairs; for each N the matching T
+    values are solved exactly and verified by trial division.  An incomplete
+    search returns a larger remainder, never a wrong one.
     """
     if not all(isinstance(c, (int, Fraction)) for c in Phi.coeffs):
         raise ValueError("exact_quadratic_factors needs exact-rational coefficients")
@@ -242,7 +242,7 @@ def exact_quadratic_factors(Phi: CentralPolynomial, max_pairs=MAX_CANDIDATE_PAIR
         for dd in lead_divs:
             for dn in const_divs:
                 pairs += 1
-                if pairs > max_pairs:
+                if pairs > MAX_CANDIDATE_PAIRS:
                     truncated = True
                     break
                 for sign in (1, -1):
@@ -426,11 +426,11 @@ def float_candidates(Phi, tol):
 # ---------------------------------------------------------------------------
 
 
-def exact_candidates(Phi, max_pairs, tol):
+def exact_candidates(Phi, tol):
     """Class candidates of an exact polynomial from its rational factors of
     degree <= 2; a truncated factor search adds approximate candidates from
     the float roots of the remainder (found at tolerance ``tol``)."""
-    fact = exact_quadratic_factors(Phi, max_pairs)
+    fact = exact_quadratic_factors(Phi)
     cands = []
     for poly, mult in fact.factors:
         if poly.degree == 1:
@@ -446,7 +446,7 @@ def exact_candidates(Phi, max_pairs, tol):
             warnings.append(
                 "exact factor search truncated at %d candidate pairs; "
                 "falling back to float roots for the degree-%d remainder"
-                % (max_pairs, fact.remainder.degree)
+                % (MAX_CANDIDATE_PAIRS, fact.remainder.degree)
             )
             float_rem = CentralPolynomial(
                 [float(c) for c in fact.remainder.coeffs], FLOAT
@@ -466,7 +466,7 @@ def exact_candidates(Phi, max_pairs, tol):
     return CentralRoots(tuple(cands), tuple(warnings), discarded)
 
 
-def central_roots(Phi: CentralPolynomial, tol=None, max_pairs=MAX_CANDIDATE_PAIRS):
+def central_roots(Phi: CentralPolynomial, tol=None):
     """Conjugacy-class candidates for all closure roots of Phi of degree <= 2.
 
     Candidates are deduplicated on (trace, norm) with summed multiplicity and
@@ -477,4 +477,4 @@ def central_roots(Phi: CentralPolynomial, tol=None, max_pairs=MAX_CANDIDATE_PAIR
     """
     if Phi.degree < 1:
         raise ValueError("central_roots needs a nonconstant polynomial")
-    return backend_for(Phi.mode, tol).class_candidates(Phi, max_pairs)
+    return backend_for(Phi.mode, tol).class_candidates(Phi)

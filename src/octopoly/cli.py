@@ -132,7 +132,7 @@ def _cmd_solve(args):
     doc = {
         "algebra": _algebra_json(alg),
         "polynomial": {
-            "side": phi.side.value,
+            "side": "left",  # coefficients are always on the left
             "coefficients": [_coords(c) for c in phi.coeffs],
         },
         "companion": [alg.backend.format(b) for b in report.companion.coeffs],

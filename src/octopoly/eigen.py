@@ -5,17 +5,30 @@ and last row (-c_0, ..., -c_{n-1}).  Membership of lambda in the left (right)
 eigenvalue set reduces to singularity of one 8x8 scalar operator: the
 candidate eigenvector is forced, entry by entry, down to its first component
 gamma, and the surviving condition is linear in gamma over the base field.
-The kernel computation therefore replaces any search over twists.
+On lambda's class z^2 = T z - N the polynomial reduces to E z + G, so the
+operator is gamma -> E (lambda gamma) + G gamma (left) or
+gamma -> E (gamma lambda) + G gamma (right).  The kernel computation
+therefore replaces any search over twists.
 """
 
 from __future__ import annotations
 
+import enum
+import itertools
 from dataclasses import dataclass
 
 from .algebra import Octonion
-from .central import MAX_CANDIDATE_PAIRS, central_roots
-from .polynomials import Side, StandardPolynomial, companion, reduce_to_linear
+from .central import central_roots
+from .polynomials import StandardPolynomial, companion, eg_sequence, reduce_to_linear
 from .solver import class_witness, verify_root
+
+
+class Side(enum.Enum):
+    """The side lambda multiplies the eigenvector on: C v = lambda v (left)
+    or C v = v lambda (right)."""
+
+    LEFT = "left"
+    RIGHT = "right"
 
 
 @dataclass(frozen=True)
@@ -32,8 +45,6 @@ class CompanionMatrix:
 
 
 def companion_matrix(phi: StandardPolynomial) -> CompanionMatrix:
-    if phi.side != Side.LEFT:
-        raise ValueError("companion_matrix is defined for left polynomials")
     if not phi.is_monic():
         raise ValueError("companion_matrix requires a monic polynomial")
     if phi.degree < 1:
@@ -60,45 +71,31 @@ class MembershipReport:
     eigenvector: tuple | None = None
 
 
-def _operator_matrix(phi, lam, side):
-    """The 8x8 scalar matrix of gamma -> sum_i c_i (lam^i gamma) + lam^n gamma
-    (left) or gamma -> sum_i c_i (gamma lam^i) + gamma lam^n (right)."""
+def _membership(phi, lam, side):
+    """Kernel of gamma -> sum_i c_i (lam^i gamma) (left) or
+    sum_i c_i (gamma lam^i) (right), built as E act(gamma) + G gamma from
+    lam^i = e_i lam + g_i on lam's class."""
+    if not phi.is_monic():
+        raise ValueError("eigenvalue tests require a monic polynomial")
+    phi.algebra.check_same(lam.algebra)
     alg = phi.algebra
-    n = phi.degree
-    powers = [alg.one]
-    for _ in range(n):
-        powers.append(lam * powers[-1])
+
+    def act(x):
+        return lam * x if side == Side.LEFT else x * lam
+
+    trace, norm = lam.invariants()
+    red = reduce_to_linear(phi, norm, trace)
     cols = []
     for b in range(8):
         e = alg.basis_element(b)
-        if side == Side.LEFT:
-            acc = powers[n] * e
-            for i in range(n):
-                acc = acc + phi.coeffs[i] * (powers[i] * e)
-        else:
-            acc = e * powers[n]
-            for i in range(n):
-                acc = acc + phi.coeffs[i] * (e * powers[i])
-        cols.append(acc.coords)
-    return [[cols[c][r] for c in range(8)] for r in range(8)], powers
-
-
-def _membership(phi, lam, side):
-    if not phi.is_monic():
-        raise ValueError("eigenvalue tests require a monic polynomial")
-    if phi.side != Side.LEFT:
-        raise ValueError("eigenvalue tests are defined for left polynomials")
-    phi.algebra.check_same(lam.algebra)
-    alg = phi.algebra
-    matrix, powers = _operator_matrix(phi, lam, side)
-    kernel = alg.backend.nullspace(matrix)
+        cols.append((red.E * act(e) + red.G * e).coords)
+    kernel = alg.backend.nullspace([[cols[c][r] for c in range(8)] for r in range(8)])
     if kernel is None:
         return MembershipReport(False)
     gamma = alg.octonion(kernel)
-    if side == Side.LEFT:
-        vec = tuple(powers[i] * gamma for i in range(phi.degree))
-    else:
-        vec = tuple(gamma * powers[i] for i in range(phi.degree))
+    moved = act(gamma)
+    eg = itertools.islice(eg_sequence(norm, trace, alg._zero, alg._one), phi.degree)
+    vec = tuple(moved * e_i + gamma * g_i for e_i, g_i in eg)
     return MembershipReport(True, kernel_element=gamma, eigenvector=vec)
 
 
@@ -146,12 +143,12 @@ def rev_class_point(phi, norm, trace, g: Octonion) -> Octonion:
     return -(g * (einv * (G * ginv)))
 
 
-def rev_classes(phi: StandardPolynomial, max_pairs=MAX_CANDIDATE_PAIRS):
+def rev_classes(phi: StandardPolynomial):
     """Class candidates of the companion polynomial that embed into the
     algebra: the right eigenvalue set is exactly the union of these classes."""
     if not phi.is_monic():
         raise ValueError("rev_classes requires a monic polynomial")
-    found = central_roots(companion(phi), tol=phi.algebra.tol, max_pairs=max_pairs)
+    found = central_roots(companion(phi), tol=phi.algebra.tol)
     out = []
     for cand in found.candidates:
         if cand.field_degree == 1:
@@ -197,11 +194,14 @@ def verify_eigen_pair(C: CompanionMatrix, lam: Octonion, vec, side) -> bool:
 
 def subalgebra_lev_check(phi: StandardPolynomial, lam: Octonion):
     """For quaternionic data (coefficients and lam in span(1, i, j, ij)):
-    (left-eigenvalue membership, root of phi, root of the mirror).
+    (left-eigenvalue membership, root of phi, root of the mirror
+    sum_i lam^i c_i).
 
     Membership is equivalent to the disjunction of the two root tests; the
     left eigenvalues inside the quaternion subalgebra are exactly the roots
-    of phi together with the roots of its mirror.
+    of phi together with the roots of its mirror.  Conjugation reverses
+    products, so lam roots the mirror exactly when conj(lam) roots
+    sum_i conj(c_i) z^i.
     """
     phi.algebra.check_same(lam.algebra)
 
@@ -215,8 +215,9 @@ def subalgebra_lev_check(phi: StandardPolynomial, lam: Octonion):
             "subalgebra_lev_check needs coefficients and lambda in span(1, i, j, ij)"
         )
     report = lev_test(phi, lam)
+    conj_phi = StandardPolynomial(phi.algebra, [c.conj() for c in phi.coeffs])
     return (
         report.member,
         verify_root(phi, lam),
-        verify_root(phi.mirror(), lam),
+        verify_root(conj_phi, lam.conj()),
     )

@@ -139,13 +139,13 @@ def parse_octonion(text, algebra):
     return algebra.octonion(coords)
 
 
-def parse_polynomial(text, algebra, side="left"):
+def parse_polynomial(text, algebra):
     """Parse a polynomial literal into a StandardPolynomial.
 
     Duplicate degrees are summed and missing degrees are zero; a polynomial
     that sums to zero, or a degree above 16, is a parse error.
     """
-    from .polynomials import Side, StandardPolynomial
+    from .polynomials import StandardPolynomial
 
     p = _Parser(text, algebra)
     by_degree = {}
@@ -170,7 +170,7 @@ def parse_polynomial(text, algebra, side="left"):
         for d in range(top + 1)
     ]
     try:
-        return StandardPolynomial(algebra, coeffs, Side(side))
+        return StandardPolynomial(algebra, coeffs)
     except ValueError as exc:
         raise ParseError(str(exc), text) from exc
 

@@ -1,15 +1,13 @@
 """Standard polynomials over an octonion algebra.
 
-A standard polynomial keeps all coefficients on one side of the variable:
-``side == LEFT`` means c_n z^n + ... + c_1 z + c_0, ``side == RIGHT`` the
-mirror form z^n c_n + ... + z c_1 + c_0.  The module also builds the central
-companion polynomial, reduces a polynomial modulo the characteristic relation
+A standard polynomial keeps all coefficients on the left of the variable:
+c_n z^n + ... + c_1 z + c_0.  The module also builds the central companion
+polynomial, reduces a polynomial modulo the characteristic relation
 z^2 = T z - N to a linear form E z + G, and produces both twist families.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,18 +18,11 @@ from .linalg import clear_denominators
 from .scalars import EXACT
 
 
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 class StandardPolynomial:
     """Coefficient list c_0..c_n over one algebra; the zero polynomial is
     rejected and trailing zero coefficients are stripped at construction."""
 
-    def __init__(self, algebra: OctonionAlgebra, coeffs, side=Side.LEFT):
-        if not isinstance(side, Side):
-            side = Side(side)
+    def __init__(self, algebra: OctonionAlgebra, coeffs):
         converted = []
         for c in coeffs:
             if isinstance(c, Octonion):
@@ -45,7 +36,6 @@ class StandardPolynomial:
             raise ValueError("the zero polynomial is not a valid StandardPolynomial")
         self.algebra = algebra
         self.coeffs = tuple(converted)
-        self.side = side
 
     @property
     def degree(self):
@@ -57,31 +47,25 @@ class StandardPolynomial:
     def __eq__(self, other):
         if not isinstance(other, StandardPolynomial):
             return NotImplemented
-        return self.side == other.side and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.side, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         from .literals import format_polynomial
 
-        return "<%s (%s)>" % (format_polynomial(self), self.side.value)
+        return "<%s>" % format_polynomial(self)
 
     def __call__(self, lam):
         return eval_at(self, lam)
-
-    def mirror(self):
-        """Same coefficients on the opposite side of the variable."""
-        flipped = Side.RIGHT if self.side == Side.LEFT else Side.LEFT
-        return StandardPolynomial(self.algebra, self.coeffs, flipped)
 
 
 def eval_at(phi: StandardPolynomial, lam: Octonion) -> Octonion:
     """Substitute lam for the variable.
 
     Powers lam^i are built by repeated multiplication (any bracketing agrees
-    by power-associativity); LEFT polynomials multiply each power by its
-    coefficient on the left, RIGHT polynomials on the right.
+    by power-associativity) and multiplied by their coefficients on the left.
     """
     phi.algebra.check_same(lam.algebra)
     acc = phi.algebra.zero
@@ -89,7 +73,7 @@ def eval_at(phi: StandardPolynomial, lam: Octonion) -> Octonion:
     for i, c in enumerate(phi.coeffs):
         if i > 0:
             power = lam * power
-        acc = acc + (c * power if phi.side == Side.LEFT else power * c)
+        acc = acc + c * power
     return acc
 
 
@@ -210,13 +194,11 @@ class CentralPolynomial:
 
 
 def companion(phi: StandardPolynomial) -> CentralPolynomial:
-    """The degree-2n central companion polynomial of a LEFT polynomial.
+    """The degree-2n central companion polynomial of phi.
 
     b_k sums Tr(conj(c_i) c_j) over i < j with i + j = k, plus Norm(c_m)
     when k = 2m.  Every root of phi is a root of the result.
     """
-    if phi.side != Side.LEFT:
-        raise ValueError("companion is defined for left-coefficient polynomials")
     n = phi.degree
     zero = phi.algebra._zero
     b = [zero] * (2 * n + 1)
@@ -264,8 +246,6 @@ class ReducedLinearForm:
 def reduce_to_linear(phi: StandardPolynomial, norm, trace) -> ReducedLinearForm:
     """E = sum c_i e_i(N,T), G = sum c_i g_i(N,T); for every lam with
     invariants (T, N), eval_at(phi, lam) == E*lam + G."""
-    if phi.side != Side.LEFT:
-        raise ValueError("reduce_to_linear is defined for left polynomials")
     alg = phi.algebra
     norm = alg.scalar(norm)
     trace = alg.scalar(trace)
@@ -277,9 +257,7 @@ def reduce_to_linear(phi: StandardPolynomial, norm, trace) -> ReducedLinearForm:
     return ReducedLinearForm(E=E, G=G, norm=norm, trace=trace)
 
 
-def _require_monic_left(phi, what):
-    if phi.side != Side.LEFT:
-        raise ValueError("%s is defined for left polynomials" % what)
+def _require_monic(phi, what):
     if not phi.is_monic():
         raise ValueError("%s requires a monic polynomial" % what)
 
@@ -290,18 +268,18 @@ def twist_left(phi: StandardPolynomial, g: Octonion) -> StandardPolynomial:
     Roots of the twists over all invertible g make up the left eigenvalues of
     the companion matrix.
     """
-    _require_monic_left(phi, "twist_left")
+    _require_monic(phi, "twist_left")
     phi.algebra.check_same(g.algebra)
     ginv = g.inverse()
     coeffs = [ginv * c for c in phi.coeffs[:-1]] + [ginv]
-    return StandardPolynomial(phi.algebra, coeffs, Side.LEFT)
+    return StandardPolynomial(phi.algebra, coeffs)
 
 
 def twist_two_sided(phi: StandardPolynomial, g: Octonion) -> StandardPolynomial:
     """Two-sided twist: coefficient k becomes g^-1 c_k g^-1 (leading g^-2);
     unambiguous by flexibility.  Governs the right eigenvalues."""
-    _require_monic_left(phi, "twist_two_sided")
+    _require_monic(phi, "twist_two_sided")
     phi.algebra.check_same(g.algebra)
     ginv = g.inverse()
     coeffs = [(ginv * c) * ginv for c in phi.coeffs[:-1]] + [ginv * ginv]
-    return StandardPolynomial(phi.algebra, coeffs, Side.LEFT)
+    return StandardPolynomial(phi.algebra, coeffs)

@@ -106,10 +106,10 @@ class Exact(_Backend):
     def nullspace(self, rows):
         return linalg.exact_nullspace_vector(rows)
 
-    def class_candidates(self, Phi, max_pairs):
+    def class_candidates(self, Phi):
         from . import central  # central imports this module through algebra
 
-        return central.exact_candidates(Phi, max_pairs, self.tol)
+        return central.exact_candidates(Phi, self.tol)
 
 
 class Float(_Backend):
@@ -135,7 +135,7 @@ class Float(_Backend):
     def nullspace(self, rows):
         return linalg.float_nullspace_vector(rows, self.tol)
 
-    def class_candidates(self, Phi, max_pairs):
+    def class_candidates(self, Phi):
         from . import central  # central imports this module through algebra
 
         return central.CentralRoots(tuple(central.float_candidates(Phi, self.tol)))

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import DIVISION, SPLIT, Octonion, OctonionAlgebra
-from .central import MAX_CANDIDATE_PAIRS, ClassCandidate, central_roots
+from .algebra import SPLIT, Octonion, OctonionAlgebra
+from .central import ClassCandidate, central_roots
 from .errors import UnsupportedAlgebraError
 from .polynomials import (
     CentralPolynomial,
-    Side,
     StandardPolynomial,
     companion,
     eg_sequence,
@@ -184,36 +183,30 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
     return ClassResolution(NOT_EMBEDDABLE)
 
 
-def solve(
-    phi: StandardPolynomial, max_pairs=MAX_CANDIDATE_PAIRS
-) -> RootReport:
-    """Find all roots of a nonconstant left polynomial over a division algebra.
+def solve(phi: StandardPolynomial) -> RootReport:
+    """Find all roots of a nonconstant polynomial over a division algebra.
 
-    Split algebras are rejected outright; an unverified division check
-    proceeds with a warning.  The companion polynomial's class candidates are
-    resolved independently and in order, and every emitted root or witness is
-    re-verified by substitution.
+    Split algebras are rejected outright.  The companion polynomial's class
+    candidates are resolved independently and in order, and every emitted
+    root or witness is re-verified by substitution.
     """
     if phi.degree < 1:
         raise ValueError("solve needs a polynomial of degree >= 1")
-    if phi.side != Side.LEFT:
-        raise ValueError("solve handles left-coefficient polynomials")
     alg = phi.algebra
     check = alg.division_check()
-    warnings = []
     if check.status == SPLIT:
-        raise UnsupportedAlgebraError(
-            "the algebra is split (isotropic witness %r); roots are only "
-            "classified over division algebras" % (check.witness,)
+        why = (
+            "its norm form is indefinite"
+            if check.witness is None
+            else "isotropic witness %r" % (check.witness,)
         )
-    if check.status != DIVISION:
-        warnings.append(
-            "division check is unverified for these parameters; "
-            "results assume the algebra is division"
+        raise UnsupportedAlgebraError(
+            "the algebra is split (%s); roots are only classified over "
+            "division algebras" % why
         )
     Phi = companion(phi)
-    found = central_roots(Phi, tol=alg.tol, max_pairs=max_pairs)
-    warnings.extend(found.warnings)
+    found = central_roots(Phi, tol=alg.tol)
+    warnings = list(found.warnings)
     if found.discarded_degree:
         warnings.append(
             "discarded closure roots spanning degree %d (field degree > 2)"

@@ -14,6 +14,7 @@ from octopoly import (
     exact_quadratic_factors,
     numeric_roots,
 )
+from octopoly import central
 
 F = Fraction
 
@@ -139,8 +140,9 @@ def test_count_conservation(rng):
         assert total + found.discarded_degree == Phi.degree
 
 
-def test_truncation_falls_back_to_float():
-    found = central_roots(_cp(2, 0, 3, 0, 1), max_pairs=0)
+def test_truncation_falls_back_to_float(monkeypatch):
+    monkeypatch.setattr(central, "MAX_CANDIDATE_PAIRS", 0)
+    found = central_roots(_cp(2, 0, 3, 0, 1))
     assert any("truncated" in w for w in found.warnings)
     assert found.candidates and all(c.approx for c in found.candidates)
     traces = sorted(float(c.trace) for c in found.candidates)

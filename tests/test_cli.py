@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from octopoly import (
+    SPLIT,
     OctonionAlgebra,
     ParseError,
     format_octonion,
@@ -153,6 +154,19 @@ def test_cli_exit_codes(capsys):
     assert main(["eigen", "--poly", "2*z^2 + 1", "--lambda", "j"]) == 2  # non-monic
     err = capsys.readouterr().err
     assert "monic" in err
+
+
+def test_indefinite_algebra_is_split(capsys):
+    # one positive parameter makes the norm form indefinite, hence split by
+    # Hasse-Minkowski, even when the bounded search finds no witness:
+    # 10 + i + l is isotropic here but lies outside the search box
+    A = OctonionAlgebra(-1, -1, 101)
+    check = A.division_check()
+    assert check.status == SPLIT and check.witness is None
+    assert A.parse("10 + i + l").norm() == 0
+    assert main(["solve", "--gamma", "101", "--poly", "z + i"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "indefinite" in captured.err
 
 
 def test_cli_configuration_errors_exit_2(capsys):

@@ -1,15 +1,16 @@
 """Companion matrices and left/right eigenvalue machinery."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from octopoly import (
+    OctonionAlgebra,
     Side,
     StandardPolynomial,
     companion,
     companion_matrix,
-    eval_at,
     lev_class_point,
     lev_test,
     parse_polynomial,
@@ -139,7 +140,6 @@ def test_subalgebra_check_golden(alg, psi):
     assert subalgebra_lev_check(psi, j) == (True, False, True)
     # -j roots psi but not the mirror: (-j)^2 + (-j)i + 1 + ij == 2ij
     assert subalgebra_lev_check(psi, -j) == (True, True, False)
-    assert eval_at(psi.mirror(), -j) == 2 * alg.basis_element(3)
     sq = parse_polynomial("z^2 + 1", alg)
     assert subalgebra_lev_check(sq, alg.one) == (False, False, False)
     with pytest.raises(ValueError):
@@ -244,3 +244,62 @@ def test_float_membership(alg_float):
     assert rep.member
     assert not lev_test(psi, alg_float.one).member
     assert rev_test(psi, -j).member
+
+
+def _defining_residual(phi, lam, gamma, side):
+    """sum_i c_i (lam^i gamma) (left) or sum_i c_i (gamma lam^i) (right),
+    with every power lam^i built by repeated multiplication."""
+    acc, power = phi.algebra.zero, phi.algebra.one
+    for i, c in enumerate(phi.coeffs):
+        if i:
+            power = lam * power
+        acc = acc + c * (power * gamma if side == Side.LEFT else gamma * power)
+    return acc
+
+
+def _check_member(phi, lam, side):
+    """lam is a member on ``side``; its eigenvector verifies and its kernel
+    element satisfies the defining condition."""
+    rep = (lev_test if side == Side.LEFT else rev_test)(phi, lam)
+    assert rep.member
+    assert verify_eigen_pair(companion_matrix(phi), lam, rep.eigenvector, side)
+    gamma = rep.kernel_element
+
+    def scale():
+        return sum(
+            c.max_abs() * lam.max_abs() ** i * gamma.max_abs()
+            for i, c in enumerate(phi.coeffs)
+        )
+
+    residual = _defining_residual(phi, lam, gamma, side)
+    assert phi.algebra.backend.all_zero(residual.coords, scale)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_planted_memberships_generic_algebra(mode):
+    # over (-2, -3, -5): a planted root of a monic phi is a member on both
+    # sides and a conjugate of it a right eigenvalue, each with a verified
+    # eigenvector and kernel element; an element outside every root class
+    # is no right eigenvalue
+    alg = OctonionAlgebra(-2, -3, -5, mode=mode)
+    rng = random.Random(4)
+    for deg in (2, 2, 3, 3, 4, 4, 5, 5):
+        lam = rand_octonion(rng, alg, -1, 1)
+        tail = [rand_octonion(rng, alg, -1, 1) for _ in range(deg - 1)] + [alg.one]
+        c0, power = alg.zero, alg.one
+        for c in tail:
+            power = lam * power
+            c0 = c0 + c * power
+        phi = StandardPolynomial(alg, [-c0] + tail)
+        _check_member(phi, lam, Side.LEFT)
+        _check_member(phi, lam, Side.RIGHT)
+        d = rand_invertible(rng, alg, -1, 1)
+        _check_member(phi, (d * lam) * d.inverse(), Side.RIGHT)
+        Phi = companion(phi)
+        other = rand_octonion(rng, alg, -1, 1)
+
+        def scale():
+            return sum(abs(b) * other.max_abs() ** k for k, b in enumerate(Phi.coeffs))
+
+        assert not alg.backend.all_zero(Phi(other).coords, scale)
+        assert not rev_test(phi, other).member

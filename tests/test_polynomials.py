@@ -1,5 +1,5 @@
 """Standard polynomials: evaluation, companion polynomial, linear reduction,
-mirror, and the two twist families."""
+and the two twist families."""
 
 from fractions import Fraction
 
@@ -45,25 +45,11 @@ def test_eval_golden(alg, phi3, psi):
     assert eval_at(psi, j) == 2 * alg.basis_element(3)
 
 
-def test_mirror(alg, psi):
-    j = alg.basis_element(2)
-    assert eval_at(psi.mirror(), j).is_exactly_zero()
-    assert psi.mirror().mirror() == psi
-    central = parse_polynomial("z^3 + 2*z + 5", alg)
-    x = alg.parse("1 + i - jl")
-    assert eval_at(central, x) == eval_at(central.mirror(), x)
-
-
 def test_companion_golden(alg, phi3, psi):
     assert companion(phi3) == CentralPolynomial([1, 0, 1, 0, 1])
     assert companion(psi) == CentralPolynomial([2, 0, 3, 0, 1])
     lin = parse_polynomial("z + i", alg)
     assert companion(lin) == CentralPolynomial([1, 0, 1])
-
-
-def test_companion_rejects_mirror(alg, psi):
-    with pytest.raises(ValueError):
-        companion(psi.mirror())
 
 
 def test_companion_degree_zero(alg):
