@@ -17,17 +17,14 @@ so everything here is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConfigurationError, SingularElementError
 from .scalars import EXACT, ToleranceSpec, backend_for
 
 DIVISION = "division"
 SPLIT = "split"
-
-_ISOTROPY_SAMPLES = 10_000
 
 
 def _cd_mul(x, y, params):
@@ -171,7 +168,7 @@ class OctonionAlgebra:
         form is then positive definite) and ``split`` otherwise: an indefinite
         form is isotropic over the reals and, in dimension 8 > 4, over every
         p-adic field, hence over Q by Hasse-Minkowski.  A split status carries
-        an isotropic witness when a direct or bounded random search finds one.
+        an isotropic witness when a direct or equal-coordinate search finds one.
         The result is cached per algebra.
         """
         if self._division is None:
@@ -182,7 +179,7 @@ class OctonionAlgebra:
         if self.alpha < 0 and self.beta < 0 and self.gamma < 0:
             return DivisionCheck(DIVISION)
         # Otherwise some q[k] < 0, so over the reals (float mode) a witness
-        # sqrt(-q[k]) + e_k is found on the first row and the random search
+        # sqrt(-q[k]) + e_k is found on the first row and the subset search
         # below is reached by exact mode only.
         q = self.norm_coeffs
         for a in range(8):
@@ -193,14 +190,15 @@ class OctonionAlgebra:
                     coords[a] = r
                     coords[b] = self._one
                     return DivisionCheck(SPLIT, self.octonion(coords))
-        rng = random.Random(0x0C7A)
-        for _ in range(_ISOTROPY_SAMPLES):
-            coords = [
-                Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(8)
-            ]
-            x = self.octonion(coords)
-            if not x.is_exactly_zero() and x.norm() == 0:
-                return DivisionCheck(SPLIT, x)
+        # pairs were tried above; a zero sum of q over a larger subset gives
+        # the witness with ones on that subset
+        for size in range(3, 9):
+            for subset in itertools.combinations(range(8), size):
+                if sum(q[k] for k in subset) == 0:
+                    coords = [
+                        self._one if k in subset else self._zero for k in range(8)
+                    ]
+                    return DivisionCheck(SPLIT, self.octonion(coords))
         return DivisionCheck(SPLIT)
 
     def __repr__(self):

@@ -3,8 +3,9 @@
 Each closure root that generates an extension of degree <= 2 is collapsed to
 its (trace, norm) pair -- a conjugacy-class candidate.  Exact mode extracts
 all rational roots plus all monic rational quadratic factors by a bounded
-divisor-candidate search; float mode finds all complex roots with a
-simultaneous (Aberth-Ehrlich style) iteration and pairs the conjugates.
+divisor-candidate search with integer divisibility tests; float mode finds
+all complex roots with a simultaneous (Aberth-Ehrlich style) iteration and
+pairs the conjugates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import NumericFailureError
-from .polynomials import CentralPolynomial, eg_sequence
+from .polynomials import CentralPolynomial
 from .scalars import FLOAT, ToleranceSpec, backend_for
 
 MAX_CANDIDATE_PAIRS = 10_000
@@ -147,32 +148,6 @@ def _root_bound(p):
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
-def _quadratic_T_values(p, n_val):
-    """All rational T such that z^2 - T*z + n_val divides the integer
-    polynomial p (descending).
-
-    With d the denominator of n_val, z = w/d turns the question into whether
-    w^2 - W*w + M divides P(w) = d^m p(w/d), where M = n_val*d^2 and
-    W = T*d; P and M are integers.  The remainder of P modulo that quadratic
-    is r1(W)*w + r0(W), built by the power-reduction recurrence with W as an
-    indeterminate; the valid W are the rational roots of gcd(r1, r0).  Each
-    returned value is verified by trial division by the caller.
-    """
-    d = n_val.denominator
-    one = CentralPolynomial([1])
-    r1 = r0 = zero = one * 0
-    reduction = eg_sequence(n_val.numerator * d, CentralPolynomial([0, 1]), zero, one)
-    for i, (b, (e, g)) in enumerate(zip(p.coeffs, reduction)):
-        if b != 0:
-            b *= d ** (p.degree - i)
-            r1 = r1 + b * e
-            r0 = r0 + b * g
-    h = r1.gcd(r0)
-    if h.degree < 1:
-        return []
-    return sorted((w / d for w in _rational_roots_of(h)), reverse=True)
-
-
 def _rational_roots_of(p):
     """Set of rational roots of an exact polynomial (no multiplicities)."""
     ints = p.primitive().coeffs
@@ -213,12 +188,16 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
     """Extract every monic rational factor of degree <= 2, with multiplicity.
 
     Rational roots come first (divisor candidates on the primitive integer
-    form).  Monic quadratic factors z^2 - T z + N are then searched over
-    candidate constants N = +-d0/d2 built from divisors of the constant and
-    leading integer coefficients, pruned by the Cauchy root bound and capped
-    at ``MAX_CANDIDATE_PAIRS`` candidate pairs; for each N the matching T
-    values are solved exactly and verified by trial division.  An incomplete
-    search returns a larger remainder, never a wrong one.
+    form).  Quadratic factors are then searched on the primitive remainder
+    P: by Gauss's lemma each is z^2 - (b/a) z + c/a for an integer divisor
+    Q = a z^2 - b z + c of P, so a > 0 divides the leading and c the
+    constant coefficient.  The pairs (a, c) are pruned by the Cauchy root
+    bound on |c/a| and capped at ``MAX_CANDIDATE_PAIRS``.  Q(1) divides
+    P(1), which fixes b = a + c -+ d for the divisors d of P(1); a b is kept
+    only if |b/a| is within twice the root bound and Q(-1) | P(-1),
+    Q(2) | P(2) (P has no rational roots, so these values are nonzero), and
+    is confirmed by trial division.  An incomplete search returns a larger
+    remainder, never a wrong one.
     """
     if not all(isinstance(c, (int, Fraction)) for c in Phi.coeffs):
         raise ValueError("exact_quadratic_factors needs exact-rational coefficients")
@@ -234,30 +213,39 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
     truncated = False
     if rem.degree > 1:
         ints = rem.primitive()
-        nbound = _root_bound(ints) ** 2
+        bound = _root_bound(ints)
+        nbound, tbound = bound**2, math.ceil(2 * bound)
         const_divs = _divisors(ints.coeffs[0])
         lead_divs = _divisors(ints.coeffs[-1])
-        seen = set()
+        p_m1, p_2, d1 = ints(-1), ints(2), _divisors(ints(1))
         pairs = 0
-        for dd in lead_divs:
+        for a in lead_divs:
             for dn in const_divs:
                 pairs += 1
                 if pairs > MAX_CANDIDATE_PAIRS:
                     truncated = True
                     break
-                for sign in (1, -1):
-                    n_val = Fraction(sign * dn, dd)
-                    if n_val in seen or abs(n_val) > nbound:
+                for c in (dn, -dn):
+                    if dn > nbound * a or rem.degree <= 1:
                         continue
-                    seen.add(n_val)
-                    if rem.degree <= 1:
-                        continue
-                    for t_val in _quadratic_T_values(ints, n_val):
-                        factor = CentralPolynomial([n_val, -t_val, Fraction(1)])
+                    for b in (a + c + s * d for d in d1 for s in (-1, 1)):
+                        at_m1, at_2 = a + b + c, 4 * a - 2 * b + c
+                        if (
+                            abs(b) > tbound * a
+                            or at_m1 == 0
+                            or p_m1 % at_m1
+                            or at_2 == 0
+                            or p_2 % at_2
+                        ):
+                            continue
+                        factor = CentralPolynomial(
+                            [Fraction(c, a), Fraction(-b, a), Fraction(1)]
+                        )
                         rem, mult = _divide_out(rem, factor)
                         if mult:
                             factors.append((factor, mult))
                             ints = rem.primitive()
+                            p_m1, p_2, d1 = ints(-1), ints(2), _divisors(ints(1))
             if truncated or rem.degree <= 1:
                 break
 

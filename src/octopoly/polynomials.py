@@ -81,7 +81,7 @@ class CentralPolynomial:
     """Polynomial with central (scalar) coefficients b_0..b_m.
 
     The constructor rejects the zero polynomial, which arithmetic may return
-    as the single coefficient 0.  Division, gcd and the primitive form need
+    as the single coefficient 0.  Division and the primitive form need
     rational coefficients.
     """
 
@@ -109,28 +109,6 @@ class CentralPolynomial:
     def is_zero(self):
         return self.coeffs == (0,)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return self._make(out, self.mode)
-
-    def __mul__(self, other):
-        """Product with a polynomial or, on either side, a scalar."""
-        if not isinstance(other, CentralPolynomial):
-            return self._make([c * other for c in self.coeffs], self.mode)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a != 0:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return self._make(out, self.mode)
-
-    __rmul__ = __mul__
-
     def __divmod__(self, divisor):
         """(quotient, remainder) of exact division by a nonzero polynomial."""
         p = list(self.coeffs)
@@ -143,13 +121,6 @@ class CentralPolynomial:
                 for j, b in enumerate(d):
                     p[k + j] -= coef * b
         return self._make(q, self.mode), self._make(p, self.mode)
-
-    def gcd(self, other):
-        """Monic greatest common divisor (zero when both are zero)."""
-        a, b = self.primitive(), other.primitive()
-        while not b.is_zero():
-            a, b = b, divmod(a, b)[1].primitive()
-        return a if a.is_zero() else a * Fraction(1, a.coeffs[-1])
 
     def primitive(self):
         """The integer polynomial with coprime coefficients that is a positive
@@ -215,8 +186,7 @@ def eg_sequence(norm, trace, zero, one):
     """Yield (e_i, g_i) for i = 0, 1, 2, ... with z^i = e_i z + g_i whenever
     z^2 = trace*z - norm, starting from (e_0, g_0) = (zero, one).
 
-    Recurrence: e_{i+1} = T e_i + g_i, g_{i+1} = -N e_i.  The operands need
-    only + and *, so T may be a polynomial indeterminate.
+    Recurrence: e_{i+1} = T e_i + g_i, g_{i+1} = -N e_i.
     """
     e, g = zero, one
     while True:

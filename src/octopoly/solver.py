@@ -9,12 +9,13 @@ witness is re-verified by substitution before it enters the report.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import SPLIT, Octonion, OctonionAlgebra
 from .central import ClassCandidate, central_roots
-from .errors import UnsupportedAlgebraError
+from .errors import SingularElementError, UnsupportedAlgebraError
 from .polynomials import (
     CentralPolynomial,
     StandardPolynomial,
@@ -84,8 +85,9 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
     Each pure basis direction is tried first, with the backend's square root
     (over the reals, in float mode, this finds a witness whenever one
     exists); then two-direction combinations with numerators and
-    denominators up to height 50.  Absence is a legal return -- the caller
-    decides how to report it.
+    denominators up to height 50; then equal coordinates
+    t = sqrt(s / sum_{k in S} q_k) on subsets S of 2-7 pure directions.
+    Absence is a legal return -- the caller decides how to report it.
     """
     norm = algebra.scalar(norm)
     trace = algebra.scalar(trace)
@@ -118,6 +120,15 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
                         coords[a] = t_a
                         coords[b] = t_b
                         return algebra.octonion(coords)
+    for size in range(2, 8):
+        for subset in itertools.combinations(range(1, 8), size):
+            t = algebra.backend.sqrt(s / sum(q[k] for k in subset))
+            if t is not None:
+                coords = [algebra._zero] * 8
+                coords[0] = half_t
+                for k in subset:
+                    coords[k] = t
+                return algebra.octonion(coords)
     return None
 
 
@@ -177,7 +188,12 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
                 reason="class witness failed root verification (numeric drift)",
             )
         return ClassResolution(NO_ROOT_IN_CLASS)
-    lam = -(red.E.inverse() * red.G)
+    try:
+        lam = -(red.E.inverse() * red.G)
+    except SingularElementError:
+        return ClassResolution(
+            UNDETERMINED, reason="reduced E is numerically singular (numeric drift)"
+        )
     if verify_root(phi, lam) and _invariants_match(lam, trace, norm):
         return ClassResolution(SINGLE_ROOT, root=lam)
     return ClassResolution(NOT_EMBEDDABLE)

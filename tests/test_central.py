@@ -9,12 +9,16 @@ import pytest
 from octopoly import (
     CentralPolynomial,
     NumericFailureError,
+    OctonionAlgebra,
+    StandardPolynomial,
     ToleranceSpec,
     central_roots,
+    companion,
     exact_quadratic_factors,
     numeric_roots,
 )
 from octopoly import central
+from conftest import rand_invertible, rand_octonion
 
 F = Fraction
 
@@ -91,6 +95,80 @@ def test_factors_product_reconstructs(rng):
                         new[a + b] += ca * cb
                 acc = new
         assert tuple(acc) == Phi.coeffs
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _monic_factors(fact):
+    return sorted((f.coeffs, m) for f, m in fact.factors)
+
+
+@pytest.mark.parametrize(
+    "quadratics",
+    [
+        # (c, -b, a) of a z^2 - b z + c, each irreducible and primitive
+        [(2, -1, 2), (1, 1, 3), (1, 1, 3)],  # T = 1/2 for odd b; a square
+        [(2, -1, 2), (5, 2, 1), (3, 0, 2), (5, 2, 1)],
+        [(1, 1, 1), (2, 1, 2), (7, -3, 3)],
+        [(3, 3, 1), (1, -1, 3), (3, 3, 1), (2, 0, 1)],
+        [(-1, -1, 1), (-4, 0, 3), (2, -1, 2)],  # real roots: Q(1) < 0
+    ],
+)
+def test_factors_planted_quadratics_are_all_found(quadratics):
+    # every planted quadratic factor is found with its multiplicity, and the
+    # irreducible cubic z^3 - 2 is all that remains
+    p = [-2, 0, 0, 1]
+    for q in quadratics:
+        p = _times(p, q)
+    fact = exact_quadratic_factors(CentralPolynomial(p))
+    want = {}
+    for c, mb, a in quadratics:
+        key = (F(c, a), F(mb, a), F(1))
+        want[key] = want.get(key, 0) + 1
+    assert _monic_factors(fact) == sorted(want.items())
+    assert fact.remainder.degree == 3
+    assert fact.remainder.primitive().coeffs == (-2, 0, 0, 1)
+    assert not fact.truncated
+
+
+def test_factors_match_sympy_on_companions():
+    # companions of planted polynomials of degree 2-5 over both algebras,
+    # monic (cases 0-7) and not (8-19): the factors of degree <= 2 and the
+    # degree of the rest agree with sympy's factorization over Q
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    rng = random.Random(20261018)
+    algebras = [OctonionAlgebra(-1, -1, -1), OctonionAlgebra(-2, -3, -5)]
+    for case in range(20):
+        A = algebras[case % 2]
+        degree = 2 + case // 2 % 4
+        lam = rand_octonion(rng, A, -1, 1)
+        tail = [rand_octonion(rng, A, -1, 1) for _ in range(degree - 1)]
+        tail.append(A.one if case < 8 else rand_invertible(rng, A, -1, 1))
+        c0 = A.zero
+        power = A.one
+        for c in tail:
+            power = lam * power
+            c0 = c0 + c * power
+        Phi = companion(StandardPolynomial(A, [-c0] + tail))
+        fact = exact_quadratic_factors(Phi)
+        _, parts = sympy.factor_list(sympy.Poly(list(reversed(Phi.coeffs)), z))
+        want, rest = [], 0
+        for part, mult in parts:
+            if part.degree() <= 2:
+                monic = part.monic().all_coeffs()[::-1]
+                want.append((tuple(F(int(c.p), int(c.q)) for c in monic), mult))
+            else:
+                rest += part.degree() * mult
+        assert _monic_factors(fact) == sorted(want)
+        assert fact.remainder.degree == rest
+        assert not fact.truncated
 
 
 def test_factors_irreducible_quartic_remainder():

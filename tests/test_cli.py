@@ -158,8 +158,8 @@ def test_cli_exit_codes(capsys):
 
 def test_indefinite_algebra_is_split(capsys):
     # one positive parameter makes the norm form indefinite, hence split by
-    # Hasse-Minkowski, even when the bounded search finds no witness:
-    # 10 + i + l is isotropic here but lies outside the search box
+    # Hasse-Minkowski, even when the witness search finds none:
+    # 10 + i + l is isotropic here but has unequal coordinates
     A = OctonionAlgebra(-1, -1, 101)
     check = A.division_check()
     assert check.status == SPLIT and check.witness is None
@@ -167,6 +167,16 @@ def test_indefinite_algebra_is_split(capsys):
     assert main(["solve", "--gamma", "101", "--poly", "z + i"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "indefinite" in captured.err
+
+
+def test_cli_float_singular_reduction_is_undetermined(capsys):
+    # Phi = phi^2 has only double roots, found to about half the precision;
+    # the reduced E of the complex class of z^3 - 2 is then numerically
+    # singular, which is drift in a division algebra, not a split algebra
+    assert main(["solve", "--mode", "float", "--poly", "z^3 - 2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["resolution"] for c in doc["classes"]] == ["single_root", "undetermined"]
+    assert "numerically singular" in doc["classes"][1]["reason"]
 
 
 def test_cli_configuration_errors_exit_2(capsys):

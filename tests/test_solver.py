@@ -15,6 +15,8 @@ from octopoly import (
     eval_at,
     parse_polynomial,
     resolve_class,
+    rev_classes,
+    rev_test,
     solve,
     verify_root,
 )
@@ -56,6 +58,20 @@ def test_solve_full_class(alg):
     assert res.witness == alg.basis_element(1)
     assert rep.roots == ()
     assert rep.full_classes == ((F(0), F(1), alg.basis_element(1)),)
+
+
+def test_solve_full_class_three_directions(alg):
+    # 3 is no sum of two rational squares, so no one- or two-direction
+    # witness exists; equal coordinates on three directions give i + j + k
+    phi = parse_polynomial("z^2 + 3", alg)
+    rep = solve(phi)
+    [(cand, res)] = rep.classes
+    assert (cand.trace, cand.norm) == (0, 3)
+    assert res.status == FULL_CLASS
+    assert res.witness == alg.parse("i + j + k")
+    assert rep.warnings == ()
+    assert [(c.trace, c.norm) for c in rev_classes(phi)] == [(0, 3)]
+    assert rev_test(phi, alg.parse("i + j + k")).member
 
 
 def test_solve_derived_quartic(alg):
