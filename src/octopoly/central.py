@@ -1,25 +1,25 @@
 """Roots of the central companion polynomial over the closure of the base field.
 
 Each closure root that generates an extension of degree <= 2 is collapsed to
-its (trace, norm) pair -- a conjugacy-class candidate.  Exact mode extracts
-all rational roots plus all monic rational quadratic factors by a bounded
-divisor-candidate search with integer divisibility tests; float mode finds
-all complex roots with a simultaneous (Aberth-Ehrlich style) iteration and
-pairs the conjugates.
+its (trace, norm) pair -- a conjugacy-class candidate.  Exact mode finds
+every rational factor of degree <= 2 by a complete modular search: the
+factors of degree 1 and 2 modulo a small prime are Hensel-lifted and
+confirmed by trial division over Q.  Float mode finds all complex roots with
+a simultaneous (Aberth-Ehrlich style) iteration and pairs the conjugates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NumericFailureError
 from .polynomials import CentralPolynomial
 from .scalars import FLOAT, ToleranceSpec, backend_for
 
-MAX_CANDIDATE_PAIRS = 10_000
 _ABERTH_MAX_ITER = 200
 
 
@@ -29,15 +29,13 @@ class ClassCandidate:
 
     field_degree 1 means the underlying closure root lies in the base field
     (trace^2 == 4*norm); field_degree 2 means z^2 - trace*z + norm is
-    irreducible (exact) / a conjugate complex pair (float).  ``approx`` marks
-    candidates produced by the float fallback inside exact mode.
+    irreducible (exact) / a conjugate complex pair (float).
     """
 
     trace: object
     norm: object
     field_degree: int
     multiplicity: int
-    approx: bool = False
 
 
 @dataclass(frozen=True)
@@ -52,76 +50,64 @@ class CentralRoots:
 
 
 # ---------------------------------------------------------------------------
-# integer factorization for divisor candidates
+# polynomials over Z/m: int lists c_0..c_n without trailing zeros ([] is 0)
 # ---------------------------------------------------------------------------
 
 
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in small:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def _pollard_rho(n, rng):
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+def _add(a, b, m, k=1):
+    """a + k b mod m."""
+    pairs = itertools.zip_longest(a, b, fillvalue=0)
+    return _trim([(x + k * y) % m for x, y in pairs])
 
 
-def _factorize(n):
-    """Prime factorization of |n| >= 1 as {prime: exponent}."""
-    n = abs(n)
-    factors = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    rng = random.Random(0xFAC7)
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m, rng)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
+def _mul(a, b, m):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim([x % m for x in out])
 
 
-def _divisors(n):
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def _divmod(a, b, m):
+    """(quotient, remainder) of a by b mod m; lc(b) must be a unit mod m."""
+    inv = pow(b[-1], -1, m)
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(q))):
+        q[k] = c = r[k + len(b) - 1] * inv % m
+        for j, y in enumerate(b):
+            r[k + j] -= c * y
+    return _trim(q), _trim([x % m for x in r[: len(b) - 1]])
+
+
+def _xgcd(a, b, p):
+    """(g, s, t) with g the monic gcd of a != 0 and b over F_p and
+    s a + t b = g."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _add(s0, _mul(q, s1, p), p, -1)
+        t0, t1 = t1, _add(t0, _mul(q, t1, p), p, -1)
+    inv = pow(r0[-1], -1, p)
+    return tuple([x * inv % p for x in c] for c in (r0, s0, t0))
+
+
+def _powmod(a, e, f, p):
+    """a^e mod f over F_p, for e >= 1."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, a, p), f, p)[1]
+        a = _divmod(_mul(a, a, p), f, p)[1]
+        e >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,43 +118,14 @@ def _divisors(n):
 @dataclass(frozen=True)
 class ExactFactorization:
     """Monic linear/quadratic rational factors with multiplicities plus the
-    exact unfactored remainder; multiplying everything back reproduces the
-    input coefficientwise.  ``truncated`` reports that the divisor-candidate
-    enumeration hit its bound, so quadratic factors may have been missed."""
+    exact remainder, which has no rational factor of degree <= 2;
+    multiplying everything back reproduces the input coefficientwise.
+    ``truncated`` is always False because the search is complete; the field
+    stays because the benchmark's ``central.truncated`` counter reads it."""
 
     factors: tuple  # ((CentralPolynomial, multiplicity), ...)
     remainder: CentralPolynomial
     truncated: bool = False
-
-
-def _root_bound(p):
-    """Cauchy bound of a nonconstant integer polynomial: every complex root
-    r of p has |r| <= 1 + max|p_k/p_m|."""
-    lead = abs(p.coeffs[-1])
-    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
-
-
-def _rational_roots_of(p):
-    """Set of rational roots of an exact polynomial (no multiplicities)."""
-    ints = p.primitive().coeffs
-    if len(ints) == 1:
-        return set()
-    k0 = next(i for i, c in enumerate(ints) if c != 0)
-    roots = {Fraction(0)} if k0 > 0 else set()
-    p = CentralPolynomial(ints[k0:])
-    if p.degree == 0:
-        return roots
-    bound = _root_bound(p)
-    lead = p.coeffs[-1]
-    for dn in _divisors(p.coeffs[0]):
-        if dn > bound * abs(lead):
-            break
-        for dd in _divisors(lead):
-            for sign in (1, -1):
-                r = Fraction(sign * dn, dd)
-                if abs(r) <= bound and p(r) == 0:
-                    roots.add(r)
-    return roots
 
 
 def _divide_out(p, factor):
@@ -184,74 +141,109 @@ def _divide_out(p, factor):
     return p, mult
 
 
+def _gcd(a, b):
+    """A gcd over Q of two nonzero polynomials, by Euclid's algorithm with
+    each remainder made primitive."""
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1].primitive()
+    return a
+
+
+def _split(g, d, p, rng):
+    """The monic irreducible factors of g, a product of distinct monic
+    irreducibles of degree d over F_p, p odd (Cantor-Zassenhaus)."""
+    if len(g) <= d + 1:
+        return [g] if len(g) > 1 else []
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        b = _add(_powmod(a, (p**d - 1) // 2, g, p), [1], p, -1)
+        u = _xgcd(g, b, p)[0]
+        if 1 < len(u) < len(g):
+            return _split(u, d, p, rng) + _split(_divmod(g, u, p)[0], d, p, rng)
+
+
+def _local_factors(f, p, rng):
+    """The monic irreducible factors of degree 1 and 2 of a monic
+    square-free f over F_p: g1 = gcd(f, z^p - z) is their product for
+    degree 1, and g2 = gcd(f, z^(p^2) - z) / g1 for degree 2."""
+    z = [0, 1]
+    zp = _powmod(z, p, f, p)
+    g1 = _xgcd(f, _add(zp, z, p, -1), p)[0]
+    g12 = _xgcd(f, _add(_powmod(zp, p, f, p), z, p, -1), p)[0]
+    return _split(g1, 1, p, rng) + _split(_divmod(g12, g1, p)[0], 2, p, rng)
+
+
+def _hensel_lift(f, u, p, m):
+    """The monic factor h of f mod m = p^(2^j) with h = u mod p, for an
+    integer polynomial f that is square-free mod p with lc(f) a unit, and a
+    monic factor u of f mod p (Hensel step, von zur Gathen & Gerhard,
+    Alg. 15.10, on f = g h with cofactor g)."""
+    g = _divmod([c % p for c in f], u, p)[0]
+    _, s, t = _xgcd(g, u, p)
+    h, mod = u, p
+    while mod < m:
+        mod *= mod
+        e = _add(f, _mul(g, h, mod), mod, -1)
+        q, r = _divmod(_mul(s, e, mod), h, mod)
+        g = _add(_add(g, _mul(t, e, mod), mod), _mul(q, g, mod), mod)
+        h = _add(h, r, mod)
+        b = _add(_add(_mul(s, g, mod), _mul(t, h, mod), mod), [1], mod, -1)
+        c, d = _divmod(_mul(s, b, mod), h, mod)
+        s = _add(s, d, mod, -1)
+        t = _add(_add(t, _mul(t, b, mod), mod, -1), _mul(c, g, mod), mod, -1)
+    return h
+
+
 def exact_quadratic_factors(Phi: CentralPolynomial):
     """Extract every monic rational factor of degree <= 2, with multiplicity.
 
-    Rational roots come first (divisor candidates on the primitive integer
-    form).  Quadratic factors are then searched on the primitive remainder
-    P: by Gauss's lemma each is z^2 - (b/a) z + c/a for an integer divisor
-    Q = a z^2 - b z + c of P, so a > 0 divides the leading and c the
-    constant coefficient.  The pairs (a, c) are pruned by the Cauchy root
-    bound on |c/a| and capped at ``MAX_CANDIDATE_PAIRS``.  Q(1) divides
-    P(1), which fixes b = a + c -+ d for the divisors d of P(1); a b is kept
-    only if |b/a| is within twice the root bound and Q(-1) | P(-1),
-    Q(2) | P(2) (P has no rational roots, so these values are nonzero), and
-    is confirmed by trial division.  An incomplete search returns a larger
-    remainder, never a wrong one.
+    The search is complete (small-prime Zassenhaus method, von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 14-15).  S is the square-free
+    part of the primitive integer form of Phi, and p the smallest odd prime
+    with p not dividing lc(S) and S mod p square-free.  The irreducible
+    factors of degree 1 and 2 of S mod p are Hensel-lifted to the first
+    m = p^(2^j) > 4 (floor(||S||_2) + 1).  Every integer factor F of S of
+    degree <= 2 has lc(S)/lc(F) F congruent mod m to lc(S) times a lifted
+    factor or a product of two lifted linears, and its coefficients are
+    below 2 ||S||_2 < m/2 in absolute value (Mignotte), so the symmetric
+    residue recovers it.  Each candidate is confirmed by trial division of
+    Phi, which also gives its multiplicity.
     """
     if not all(isinstance(c, (int, Fraction)) for c in Phi.coeffs):
         raise ValueError("exact_quadratic_factors needs exact-rational coefficients")
     rem = CentralPolynomial([Fraction(c) for c in Phi.coeffs])
+    if rem.degree < 1:
+        return ExactFactorization((), rem)
+    P = rem.primitive()
+    dP = CentralPolynomial([k * c for k, c in enumerate(P.coeffs)][1:])
+    S = list(divmod(P, _gcd(P, dP))[0].primitive().coeffs)
+    lead = S[-1]
+    p = 1
+    while True:
+        p += 2
+        if lead % p == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        f = _mul(S, [pow(lead, -1, p)], p)
+        if len(_xgcd(f, _trim([k * c % p for k, c in enumerate(f)][1:]), p)[0]) == 1:
+            break
+    m = p
+    while m <= 4 * (math.isqrt(sum(c * c for c in S)) + 1):
+        m *= m
+    local = [_hensel_lift(S, u, p, m) for u in _local_factors(f, p, random.Random(0))]
+    pairs = itertools.combinations([h for h in local if len(h) == 2], 2)
     factors = []
-
-    for r in sorted(_rational_roots_of(rem)):
-        factor = CentralPolynomial([-r, Fraction(1)])
+    # the linears come first, so every rational root is taken from them
+    for h in local + [_mul(a, b, m) for a, b in pairs]:
+        sym = [x - m if 2 * x > m else x for x in (lead * c % m for c in h)]
+        factor = CentralPolynomial([Fraction(c, lead) for c in sym])
         rem, mult = _divide_out(rem, factor)
         if mult:
             factors.append((factor, mult))
-
-    truncated = False
-    if rem.degree > 1:
-        ints = rem.primitive()
-        bound = _root_bound(ints)
-        nbound, tbound = bound**2, math.ceil(2 * bound)
-        const_divs = _divisors(ints.coeffs[0])
-        lead_divs = _divisors(ints.coeffs[-1])
-        p_m1, p_2, d1 = ints(-1), ints(2), _divisors(ints(1))
-        pairs = 0
-        for a in lead_divs:
-            for dn in const_divs:
-                pairs += 1
-                if pairs > MAX_CANDIDATE_PAIRS:
-                    truncated = True
-                    break
-                for c in (dn, -dn):
-                    if dn > nbound * a or rem.degree <= 1:
-                        continue
-                    for b in (a + c + s * d for d in d1 for s in (-1, 1)):
-                        at_m1, at_2 = a + b + c, 4 * a - 2 * b + c
-                        if (
-                            abs(b) > tbound * a
-                            or at_m1 == 0
-                            or p_m1 % at_m1
-                            or at_2 == 0
-                            or p_2 % at_2
-                        ):
-                            continue
-                        factor = CentralPolynomial(
-                            [Fraction(c, a), Fraction(-b, a), Fraction(1)]
-                        )
-                        rem, mult = _divide_out(rem, factor)
-                        if mult:
-                            factors.append((factor, mult))
-                            ints = rem.primitive()
-                            p_m1, p_2, d1 = ints(-1), ints(2), _divisors(ints(1))
-            if truncated or rem.degree <= 1:
-                break
-
-    # with every rational root removed first, the remainder is a constant or
-    # has degree >= 3; a linear leftover would contradict the root extraction
-    return ExactFactorization(tuple(factors), rem, truncated)
+    # linears by root ascending, then quadratics by (norm, -trace)
+    factors.sort(
+        key=lambda fm: (1, -fm[0].coeffs[0]) if fm[0].degree == 1 else (2, *fm[0].coeffs)
+    )
+    return ExactFactorization(tuple(factors), rem)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +259,8 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     pairs are then matched and symmetrized, and near-real roots snapped to
     the axis.  Returns (re, im) tuples.  Raises NumericFailureError, carrying
     the best residuals, if any residual stays above
-    abs_eps + rel_eps * sum_k |b_k| |r|^k.
+    abs_eps + rel_eps * sum_k |b_k| |r|^k, and without residuals if the
+    leading coefficient is zero at the coefficient scale.
     """
     tol = tol or ToleranceSpec()
     poly = CentralPolynomial([float(c) for c in coeffs], FLOAT)
@@ -277,7 +270,7 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
         raise ValueError("numeric_roots needs degree >= 1")
     scale = max(abs(c) for c in coeffs)
     if tol.is_zero(coeffs[-1], scale):
-        raise ValueError("leading coefficient is zero at the coefficient scale")
+        raise NumericFailureError("leading coefficient is zero at the coefficient scale")
     monic = CentralPolynomial([c / coeffs[-1] for c in coeffs], FLOAT)
 
     rng = random.Random(0xAB3A7)
@@ -414,10 +407,10 @@ def float_candidates(Phi, tol):
 # ---------------------------------------------------------------------------
 
 
-def exact_candidates(Phi, tol):
+def exact_candidates(Phi):
     """Class candidates of an exact polynomial from its rational factors of
-    degree <= 2; a truncated factor search adds approximate candidates from
-    the float roots of the remainder (found at tolerance ``tol``)."""
+    degree <= 2; the remainder's roots generate extensions of degree > 2 and
+    are discarded with a warning."""
     fact = exact_quadratic_factors(Phi)
     cands = []
     for poly, mult in fact.factors:
@@ -428,40 +421,23 @@ def exact_candidates(Phi, tol):
             n_val, t_val = poly.coeffs[0], -poly.coeffs[1]
             cands.append(ClassCandidate(t_val, n_val, 2, mult))
     warnings = []
-    discarded = 0
     if fact.remainder.degree >= 1:
-        if fact.truncated:
-            warnings.append(
-                "exact factor search truncated at %d candidate pairs; "
-                "falling back to float roots for the degree-%d remainder"
-                % (MAX_CANDIDATE_PAIRS, fact.remainder.degree)
-            )
-            float_rem = CentralPolynomial(
-                [float(c) for c in fact.remainder.coeffs], FLOAT
-            )
-            for c in float_candidates(float_rem, tol):
-                cands.append(
-                    replace(c, trace=Fraction(c.trace), norm=Fraction(c.norm), approx=True)
-                )
-        else:
-            discarded = fact.remainder.degree
-            warnings.append(
-                "degree-%d remainder has no rational factors of degree <= 2; "
-                "its roots generate extensions of degree > 2 and cannot lie "
-                "in the algebra" % fact.remainder.degree
-            )
+        warnings.append(
+            "degree-%d remainder has no rational factors of degree <= 2; "
+            "its roots generate extensions of degree > 2 and cannot lie "
+            "in the algebra" % fact.remainder.degree
+        )
     cands.sort(key=lambda c: (c.norm, -c.trace))
-    return CentralRoots(tuple(cands), tuple(warnings), discarded)
+    return CentralRoots(tuple(cands), tuple(warnings), fact.remainder.degree)
 
 
 def central_roots(Phi: CentralPolynomial, tol=None):
     """Conjugacy-class candidates for all closure roots of Phi of degree <= 2.
 
     Candidates are deduplicated on (trace, norm) with summed multiplicity and
-    sorted by (norm, -trace).  In exact mode, roots generating extensions of
-    degree > 2 end up in ``discarded_degree``; if the factor search was
-    truncated, approximate candidates from the float root finder are appended
-    with a warning.
+    sorted by (norm, -trace).  In exact mode the factor search is complete,
+    so every closure root of degree <= 2 yields a candidate and the roots
+    generating extensions of degree > 2 make up ``discarded_degree``.
     """
     if Phi.degree < 1:
         raise ValueError("central_roots needs a nonconstant polynomial")

@@ -18,7 +18,8 @@ class UnsupportedAlgebraError(OctopolyError):
 
 
 class NumericFailureError(OctopolyError):
-    """The float root finder did not converge within its iteration budget."""
+    """The float root finder met a negligible leading coefficient or did not
+    converge within its iteration budget."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)

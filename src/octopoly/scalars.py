@@ -63,11 +63,7 @@ class _Backend:
 
 
 class Exact(_Backend):
-    """Rational scalars; every decision is exact and no scale is computed.
-
-    ``tol`` is read only by the float fallback of a truncated exact factor
-    search.
-    """
+    """Rational scalars; every decision is exact and no scale is computed."""
 
     def coerce(self, value):
         """Ints, Fractions and 'p/q' strings; floats are rejected because
@@ -109,7 +105,7 @@ class Exact(_Backend):
     def class_candidates(self, Phi):
         from . import central  # central imports this module through algebra
 
-        return central.exact_candidates(Phi, self.tol)
+        return central.exact_candidates(Phi)
 
 
 class Float(_Backend):

@@ -152,11 +152,6 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
     -E^-1 G, emitted only if substitution and the invariants check out.
     """
     alg = phi.algebra
-    if cand.approx:
-        return ClassResolution(
-            UNDETERMINED,
-            reason="candidate came from the float fallback; no exact resolution",
-        )
     trace = alg.scalar(cand.trace)
     norm = alg.scalar(cand.norm)
     if cand.field_degree == 1:

@@ -16,8 +16,10 @@ from octopoly import (
     companion,
     exact_quadratic_factors,
     numeric_roots,
+    parse_octonion,
+    parse_polynomial,
+    solve,
 )
-from octopoly import central
 from conftest import rand_invertible, rand_octonion
 
 F = Fraction
@@ -138,19 +140,20 @@ def test_factors_planted_quadratics_are_all_found(quadratics):
 
 
 def test_factors_match_sympy_on_companions():
-    # companions of planted polynomials of degree 2-5 over both algebras,
-    # monic (cases 0-7) and not (8-19): the factors of degree <= 2 and the
-    # degree of the rest agree with sympy's factorization over Q
+    # companions of planted polynomials of degree 2-16 over both algebras,
+    # monic and not (each combination every four cases), coordinates in
+    # [-2, 2]: the factors of degree <= 2 and the degree of the rest agree
+    # with sympy's factorization over Q
     sympy = pytest.importorskip("sympy")
     z = sympy.Symbol("z")
     rng = random.Random(20261018)
     algebras = [OctonionAlgebra(-1, -1, -1), OctonionAlgebra(-2, -3, -5)]
-    for case in range(20):
+    for case in range(30):
         A = algebras[case % 2]
-        degree = 2 + case // 2 % 4
-        lam = rand_octonion(rng, A, -1, 1)
-        tail = [rand_octonion(rng, A, -1, 1) for _ in range(degree - 1)]
-        tail.append(A.one if case < 8 else rand_invertible(rng, A, -1, 1))
+        degree = 2 + case // 2
+        lam = rand_octonion(rng, A, -2, 2)
+        tail = [rand_octonion(rng, A, -2, 2) for _ in range(degree - 1)]
+        tail.append(A.one if case % 4 in (0, 3) else rand_invertible(rng, A, -2, 2))
         c0 = A.zero
         power = A.one
         for c in tail:
@@ -218,15 +221,32 @@ def test_count_conservation(rng):
         assert total + found.discarded_degree == Phi.degree
 
 
-def test_truncation_falls_back_to_float(monkeypatch):
-    monkeypatch.setattr(central, "MAX_CANDIDATE_PAIRS", 0)
-    found = central_roots(_cp(2, 0, 3, 0, 1))
-    assert any("truncated" in w for w in found.warnings)
-    assert found.candidates and all(c.approx for c in found.candidates)
-    traces = sorted(float(c.trace) for c in found.candidates)
-    assert traces == pytest.approx([0.0, 0.0], abs=1e-8)
-    norms = sorted(float(c.norm) for c in found.candidates)
-    assert norms == pytest.approx([1.0, 2.0], abs=1e-8)
+# a planted non-monic degree-10 polynomial over (-2,-3,-5) with coordinates in
+# [-2, 2]; its companion's end coefficients have 24 576 divisor pairs,
+# and past the planted class the companion has no factor of degree <= 2
+_DEG10 = " + ".join([
+    "(2 + 2*i + 2*j + 2*k + 2*l + il - kl)*z^10",
+    "(-i + 2*j + l + 2*kl)*z^9",
+    "(1 + i + 2*k + 2*l + il + jl - kl)*z^8",
+    "(2 - i + j + l + 2*il + 2*jl)*z^7",
+    "(2*i + l - il + jl + kl)*z^6",
+    "(2 + 2*j + 2*k - l + il + jl + 2*kl)*z^5",
+    "(-1 - i - 2*j - k - il - jl + 2*kl)*z^4",
+    "(1 + j + k + 2*l - il + 2*jl - kl)*z^3",
+    "(2*i + j + 2*k - 2*il - 2*jl)*z^2",
+    "(-1 + 2*i - 2*j + 2*k - l + il + jl + 2*kl)*z",
+    "(537980525058 + 62480101155*i + 49047699875*j + 78304279634*k"
+    " - 186402304745*l - 29459015612*il + 35956247503*jl + 41951187182*kl)",
+])
+
+
+def test_exact_search_is_complete_on_degree_10():
+    A = OctonionAlgebra(-2, -3, -5)
+    report = solve(parse_polynomial(_DEG10, A))
+    assert parse_octonion("-2 - 2*i - 2*j - l + 2*kl", A) in report.roots
+    assert not any("truncated" in w or "undetermined" in w for w in report.warnings)
+    assert report.companion.degree == 20
+    assert sum(c.field_degree * c.multiplicity for c, _ in report.classes) == 2
 
 
 def test_discarded_note_for_deep_extension():
@@ -286,7 +306,7 @@ def test_numeric_roots_conjugate_symmetry(rng):
 def test_numeric_roots_degree_errors():
     with pytest.raises(ValueError):
         numeric_roots([1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericFailureError):
         numeric_roots([1.0, 1e-30])
 
 

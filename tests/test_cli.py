@@ -179,6 +179,30 @@ def test_cli_float_singular_reduction_is_undetermined(capsys):
     assert "numerically singular" in doc["classes"][1]["reason"]
 
 
+# a planted monic degree-8 polynomial over (-1,-1,-1) with coordinates in
+# [-2, 2]: Norm(c_0) ~ 8e9 makes the companion's leading 1 negligible at the
+# coefficient scale
+_FLOAT8 = " + ".join([
+    "z^8",
+    "(1.2 + 0.4*i + 1.6*j + 0.2*k + 1.4*l + 1.7*il + 0.6*jl + 1.7*kl)*z^7",
+    "(-1.2 + 1.1*i - 0.7*j - 0.4*k + 0.7*l + 2*il - 0.1*jl + 0.6*kl)*z^6",
+    "(0.7 + 0.5*i + 1.6*j + 0.8*k - 1.2*l + 0.3*il - 1.4*jl - 1.8*kl)*z^5",
+    "(1.7 - 1.8*i - 0.1*j - 1.9*k - 0.3*l + il + 1.8*jl + 0.4*kl)*z^4",
+    "(-0.6 + 2*i - 1.1*j + 1.3*k + 0.4*l - 2*il - 1.6*jl - kl)*z^3",
+    "(-0.8 + i + 1.4*j + 1.5*k + l + 0.5*il + 2*jl - 1.1*kl)*z^2",
+    "(1.7 - 1.6*i + 1.8*j - 2*k + l - 0.4*il + 1.5*jl - 0.6*kl)*z",
+    "(-64279.40380429 - 13811.78405525*i - 23315.17144752*j + 10588.29506131*k"
+    " - 16486.68137421*l - 32541.29336845*il - 30581.22384191*jl - 32406.36355427*kl)",
+])
+
+
+def test_cli_float_negligible_leading_coefficient_exits_4(capsys):
+    # a numeric failure of the root finder, not a parse or contract error
+    assert main(["solve", "--mode", "float", "--poly", _FLOAT8]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "leading coefficient" in captured.err
+
+
 def test_cli_configuration_errors_exit_2(capsys):
     # a zero algebra parameter and a negative tolerance are configuration
     # errors: documented exit 2, no traceback and no negative residual bound
