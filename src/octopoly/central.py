@@ -4,15 +4,17 @@ Each closure root that generates an extension of degree <= 2 is collapsed to
 its (trace, norm) pair -- a conjugacy-class candidate.  Exact mode finds
 every rational factor of degree <= 2 by a complete modular search: the
 factors of degree 1 and 2 modulo a small prime are Hensel-lifted and
-confirmed by trial division over Q.  Float mode finds all complex roots with
-a simultaneous (Aberth-Ehrlich style) iteration and pairs the conjugates.
+confirmed by trial division over Q.  Float mode finds all complex roots by
+Aberth-Ehrlich iteration and clusters them by their inclusion discs.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from .polynomials import CentralPolynomial
 from .scalars import FLOAT, ToleranceSpec, backend_for
 
 _ABERTH_MAX_ITER = 200
+_EPS = 2.0**-52  # twice the unit roundoff
 
 
 @dataclass(frozen=True)
@@ -247,159 +250,139 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
 
 
 # ---------------------------------------------------------------------------
-# float roots: simultaneous iteration
+# float roots: simultaneous iteration and inclusion discs
 # ---------------------------------------------------------------------------
 
 
-def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
-    """All complex roots of a real-coefficient float polynomial.
+def _scale(b, r):
+    """sum_k |b_k| |r|^k; times len(b) * _EPS it bounds Horner's error."""
+    s = 0.0
+    for c in reversed(b):
+        s = s * abs(r) + abs(c)
+    return s
 
-    Simultaneous Aberth-Ehrlich iteration started on a randomly perturbed
-    circle (iteration cap 200) with one Newton polish per root; conjugate
-    pairs are then matched and symmetrized, and near-real roots snapped to
-    the axis.  Returns (re, im) tuples.  Raises NumericFailureError, carrying
-    the best residuals, if any residual stays above
-    abs_eps + rel_eps * sum_k |b_k| |r|^k, and without residuals if the
-    leading coefficient is zero at the coefficient scale.
-    """
-    tol = tol or ToleranceSpec()
-    poly = CentralPolynomial([float(c) for c in coeffs], FLOAT)
-    coeffs = poly.coeffs
-    n = poly.degree
-    if n < 1:
-        raise ValueError("numeric_roots needs degree >= 1")
-    scale = max(abs(c) for c in coeffs)
-    if tol.is_zero(coeffs[-1], scale):
-        raise NumericFailureError("leading coefficient is zero at the coefficient scale")
-    monic = CentralPolynomial([c / coeffs[-1] for c in coeffs], FLOAT)
 
-    rng = random.Random(0xAB3A7)
-    radius = 1.0 + max(abs(c) for c in monic.coeffs[:-1])
-    z = [
-        radius
-        * complex(
-            math.cos(2 * math.pi * (k + 0.35) / n + 0.01 * rng.random()),
-            math.sin(2 * math.pi * (k + 0.35) / n + 0.01 * rng.random()),
-        )
-        for k in range(n)
-    ]
-    step_tol = 1e-14
+def _aberth(poly):
+    """Approximations to all roots of a float polynomial with b_0 != 0:
+    Aberth-Ehrlich iteration from the circle of the Fujiwara bound, until
+    every |p(z_i)| is below its rounding bound, then one Newton polish."""
+    b, n = poly.coeffs, poly.degree
+    radius = 2 * max(
+        abs(b[n - k] / b[n] / (2 if k == n else 1)) ** (1 / k) for k in range(1, n + 1)
+    )
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     for _ in range(_ABERTH_MAX_ITER):
-        moved = 0.0
+        moved = False
         for i in range(n):
-            p, dp = monic.value_and_derivative(z[i])
-            if p == 0:
-                continue
-            if dp == 0:
-                z[i] += 1e-6 * radius * complex(rng.random(), rng.random())
-                continue
-            w = p / dp
-            s = 0j
-            for j2 in range(n):
-                if j2 != i and z[i] != z[j2]:
-                    s += 1.0 / (z[i] - z[j2])
-            denom = 1.0 - w * s
-            delta = w if denom == 0 else w / denom
-            z[i] -= delta
-            moved = max(moved, abs(delta) / (1.0 + abs(z[i])))
-        if moved < step_tol:
+            p, dp = poly.value_and_derivative(z[i])
+            if abs(p) > len(b) * _EPS * _scale(b, z[i]):
+                s = p * sum(1 / (z[i] - w) for w in z if w != z[i])
+                if dp != s:
+                    z[i] -= p / (dp - s)
+                    moved = True
+        if not moved:
             break
     for i in range(n):
-        p, dp = monic.value_and_derivative(z[i])
+        p, dp = poly.value_and_derivative(z[i])
         if dp != 0:
             z[i] -= p / dp
+    return z
 
-    residuals = []
-    for r in z:
-        val, _ = poly.value_and_derivative(r)
-        bound = tol.abs_eps + tol.rel_eps * sum(
-            abs(c) * abs(r) ** k for k, c in enumerate(coeffs)
-        )
-        residuals.append(abs(val))
-        if abs(val) > bound:
+
+def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
+    """All complex roots of a real-coefficient float polynomial, as a
+    multiset of (re, im) tuples.
+
+    Exactly zero low coefficients give the root 0; Aberth iteration finds
+    the others.  A residual above abs_eps + rel_eps * sum_k |b_k| |r|^k
+    raises NumericFailureError with the residuals.  Each approximation z_i
+    then gets the inclusion radius
+    r_i = n (|p(z_i)| + e_i) / |b_n prod_{j != i} (z_i - z_j)|, e_i the
+    rounding bound.  A connected component of k overlapping discs holds
+    exactly k roots (Bini 1996; Bini & Robol 2014): it is one cluster, and
+    its centre, the mean refined by Newton steps on the (k-1)-th
+    derivative, is emitted k times.  A cluster whose disc meets the real
+    axis is real; one above the axis is emitted with its exact conjugate in
+    place of its mirror cluster, and NumericFailureError is raised if the
+    two differ in size.
+    """
+    tol = tol or ToleranceSpec()
+    b = CentralPolynomial([float(c) for c in coeffs], FLOAT).coeffs
+    if len(b) < 2:
+        raise ValueError("numeric_roots needs degree >= 1")
+    zeros = next(k for k, c in enumerate(b) if c != 0)
+    poly = CentralPolynomial(b[zeros:], FLOAT)
+    b, n = poly.coeffs, poly.degree
+    z = _aberth(poly) if n else []
+    residuals = [abs(poly(r)) for r in z]
+    radii = []
+    for i, r in enumerate(z):
+        scale, res = _scale(b, r), residuals[i]
+        bound = tol.abs_eps + tol.rel_eps * scale
+        if not res <= bound:
             raise NumericFailureError(
-                "root finder residual %.3e exceeds bound %.3e" % (abs(val), bound),
+                "root finder residual %.3e exceeds bound %.3e" % (res, bound),
                 residuals=sorted(residuals, reverse=True),
             )
+        prod = b[n] * math.prod(r - w for j, w in enumerate(z) if j != i)
+        radii.append(n * (res + len(b) * _EPS * scale) / abs(prod) if prod else 0.0)
 
-    # snap near-real roots, then symmetrize conjugate pairs
-    snapped = []
-    for r in z:
-        if tol.is_zero(r.imag, max(1.0, abs(r))):
-            snapped.append(complex(r.real, 0.0))
-        else:
-            snapped.append(r)
-    plus = [r for r in snapped if r.imag > 0]
-    minus = [r for r in snapped if r.imag < 0]
-    reals = [r for r in snapped if r.imag == 0]
-    if len(plus) != len(minus):
-        raise NumericFailureError(
-            "conjugate pairing failed for a real-coefficient polynomial",
-            residuals=residuals,
-        )
-    out = [(r.real, 0.0) for r in reals]
-    for r in plus:
-        jbest = min(range(len(minus)), key=lambda j2: abs(r.conjugate() - minus[j2]))
-        m = minus.pop(jbest)
-        re = 0.5 * (r.real + m.real)
-        im = 0.5 * (r.imag - m.imag)
-        out.append((re, im))
-        out.append((re, -im))
-    return out
+    clusters = []  # (centre, size); a real centre has imag 0
+    unseen = list(range(n))
+    while unseen:
+        members = [unseen.pop(0)]
+        for i in members:  # the loop also visits the members it appends
+            near = [j for j in unseen if abs(z[i] - z[j]) <= radii[i] + radii[j]]
+            unseen = [j for j in unseen if j not in near]
+            members += near
+        k = len(members)
+        c = sum(z[i] for i in members) / k
+        disc = max(abs(z[i] - c) + radii[i] for i in members)
+        if abs(c.imag) <= disc:
+            c = complex(c.real, 0.0)
+        deriv = b
+        for _ in range(k - 1):
+            deriv = [j * d for j, d in enumerate(deriv)][1:]
+        deriv, w = CentralPolynomial(deriv, FLOAT), c
+        for _ in range(3):
+            p, dp = deriv.value_and_derivative(w)
+            w -= p / dp if dp else 0
+        clusters.append((w if abs(w - c) <= disc else c, k))
+
+    out = [(0.0, 0.0)] * zeros
+    lower = [cl for cl in clusters if cl[0].imag < 0]
+    for c, k in clusters:
+        if c.imag == 0:
+            out += [(c.real, 0.0)] * k
+        elif c.imag > 0:
+            # its mirror: the nearest cluster below the axis (size 0: none)
+            mirror = min(
+                lower, key=lambda cl: abs(cl[0] - c.conjugate()), default=(0j, 0)
+            )
+            if mirror[1] != k:
+                break
+            lower.remove(mirror)
+            out += [(c.real, c.imag), (c.real, -c.imag)] * k
+    else:
+        if not lower:  # every cluster below the axis was a mirror
+            return out
+    raise NumericFailureError(
+        "a root cluster and its mirror differ in size", residuals=residuals
+    )
 
 
 def float_candidates(Phi, tol):
-    """Class candidates of a float polynomial from its numeric roots, with
-    clustered roots counted as one candidate of higher multiplicity."""
-    roots = numeric_roots(Phi.coeffs, tol)
-    # cluster equal roots; the merge radius lives at the scale the polynomial
-    # values do, which is what lets squared factors collapse to one root
-    clusters = []  # [sum_re, sum_im, count]
-    for re, im in roots:
-        merged = False
-        for cl in clusters:
-            cre, cim = cl[0] / cl[2], cl[1] / cl[2]
-            mag = max(1.0, abs(complex(re, im)))
-            radius = 10 * (
-                tol.abs_eps
-                + tol.rel_eps * sum(abs(c) * mag**k for k, c in enumerate(Phi.coeffs))
-            )
-            if abs(complex(re, im) - complex(cre, cim)) <= radius:
-                cl[0] += re
-                cl[1] += im
-                cl[2] += 1
-                merged = True
-                break
-        if not merged:
-            clusters.append([re, im, 1])
+    """Class candidates of a float polynomial, one per root cluster of
+    numeric_roots: a real cluster gives field degree 1, a cluster above the
+    axis field degree 2, and the cluster size is the multiplicity."""
     cands = []
-    for sre, sim, count in clusters:
-        re, im = sre / count, sim / count
-        if im == 0.0:
-            cands.append(ClassCandidate(2.0 * re, re * re, 1, count))
+    for (re, im), k in Counter(numeric_roots(Phi.coeffs, tol)).items():
+        if im == 0:
+            cands.append(ClassCandidate(2.0 * re, re * re, 1, k))
         elif im > 0:
-            cands.append(ClassCandidate(2.0 * re, re * re + im * im, 2, count))
-    # merge candidates that landed on the same (trace, norm)
-    merged = []
-    for c in cands:
-        for k, other in enumerate(merged):
-            s = max(1.0, abs(c.trace), abs(c.norm))
-            if (
-                other.field_degree == c.field_degree
-                and tol.eq(other.trace, c.trace, s)
-                and tol.eq(other.norm, c.norm, s)
-            ):
-                merged[k] = ClassCandidate(
-                    other.trace,
-                    other.norm,
-                    other.field_degree,
-                    other.multiplicity + c.multiplicity,
-                )
-                break
-        else:
-            merged.append(c)
-    merged.sort(key=lambda c: (c.norm, -c.trace))
-    return merged
+            cands.append(ClassCandidate(2.0 * re, re * re + im * im, 2, k))
+    cands.sort(key=lambda c: (c.norm, -c.trace))
+    return cands
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .algebra import Octonion
 from .central import central_roots
 from .polynomials import StandardPolynomial, companion, eg_sequence, reduce_to_linear
-from .solver import class_witness, verify_root
+from .solver import class_embeds, verify_root
 
 
 class Side(enum.Enum):
@@ -145,17 +145,16 @@ def rev_class_point(phi, norm, trace, g: Octonion) -> Octonion:
 
 def rev_classes(phi: StandardPolynomial):
     """Class candidates of the companion polynomial that embed into the
-    algebra: the right eigenvalue set is exactly the union of these classes."""
+    algebra (``solver.class_embeds``): the right eigenvalue set is exactly
+    the union of these classes."""
     if not phi.is_monic():
         raise ValueError("rev_classes requires a monic polynomial")
     found = central_roots(companion(phi), tol=phi.algebra.tol)
-    out = []
-    for cand in found.candidates:
-        if cand.field_degree == 1:
-            out.append(cand)
-        elif class_witness(phi.algebra, cand.norm, cand.trace) is not None:
-            out.append(cand)
-    return out
+    return [
+        cand
+        for cand in found.candidates
+        if cand.field_degree == 1 or class_embeds(phi.algebra, cand.norm, cand.trace)
+    ]
 
 
 def verify_eigen_pair(C: CompanionMatrix, lam: Octonion, vec, side) -> bool:

@@ -18,8 +18,8 @@ class UnsupportedAlgebraError(OctopolyError):
 
 
 class NumericFailureError(OctopolyError):
-    """The float root finder met a negligible leading coefficient or did not
-    converge within its iteration budget."""
+    """The float root finder failed its residual certificate, or a root
+    cluster and its mirror below the real axis differ in size."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)

@@ -25,7 +25,7 @@ MODES = (EXACT, FLOAT)
 
 @dataclass(frozen=True)
 class ToleranceSpec:
-    """Zero / equality policy for the float backend.
+    """Zero policy for the float backend.
 
     A float ``x`` is "zero at scale s" iff ``|x| <= abs_eps + rel_eps * |s|``.
     Both fields must be finite and nonnegative.
@@ -44,9 +44,6 @@ class ToleranceSpec:
 
     def is_zero(self, x, scale=1.0):
         return abs(x) <= self.abs_eps + self.rel_eps * abs(scale)
-
-    def eq(self, x, y, scale=1.0):
-        return self.is_zero(x - y, scale)
 
 
 class _Backend:

@@ -78,6 +78,18 @@ def verify_root(phi: StandardPolynomial, lam: Octonion) -> bool:
     return phi.algebra.backend.all_zero(value.coords, scale)
 
 
+def class_embeds(algebra: OctonionAlgebra, norm, trace) -> bool:
+    """Does the field-degree-2 class z^2 = trace z - norm meet the algebra?
+
+    Its members are trace/2 + u with u pure of norm s = norm - trace^2/4.
+    The pure norm form <q_1..q_7> has dimension 7, so by Hasse-Minkowski it
+    represents s != 0 iff some q_k has the sign of s.  In a division algebra
+    every q_k is positive, and this is trace^2 < 4 norm.
+    """
+    s = norm - trace * trace / 4
+    return any(s * q > 0 for q in algebra.norm_coeffs[1:])
+
+
 def class_witness(algebra: OctonionAlgebra, norm, trace):
     """An element with the given invariants, or None if none was found.
 
@@ -103,8 +115,8 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
             coords[0] = half_t
             coords[k] = r
             return algebra.octonion(coords)
-    if all(s / q[k] < 0 for k in range(1, 8)):
-        return None  # the pure norm form never takes the sign of s
+    if not class_embeds(algebra, norm, trace):
+        return None
     for a in range(1, 8):
         for b in range(a + 1, 8):
             for den in range(1, _WITNESS_HEIGHT + 1):
@@ -145,8 +157,10 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
     """Resolve one companion-class candidate against phi.
 
     Degenerate classes (field_degree 1) are singletons {trace/2} in a
-    division algebra and are tested by direct substitution.  Otherwise the
-    class reduces phi to E z + G: E = G = 0 roots the whole class (witness
+    division algebra and are tested by direct substitution.  A class that
+    the algebra's norm form cannot represent (trace^2 >= 4 norm in a
+    division algebra) is not embeddable.  Otherwise the class reduces phi
+    to E z + G: E = G = 0 roots the whole class (witness
     looked up and verified), E = 0 != G leaves an empty class (possible only
     through float drift), and invertible E pins the unique representative
     -E^-1 G, emitted only if substitution and the invariants check out.
@@ -159,6 +173,8 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
         if verify_root(phi, lam):
             return ClassResolution(SINGLE_ROOT, root=lam)
         return ClassResolution(NO_ROOT_IN_CLASS)
+    if not class_embeds(alg, norm, trace):
+        return ClassResolution(NOT_EMBEDDABLE)
     red = reduce_to_linear(phi, norm, trace)
 
     def scale(k):

@@ -122,6 +122,19 @@ def test_rev_classes_examples(alg, psi):
     assert [(c.trace, c.norm) for c in rev_classes(lin)] == [(0, 1)]
 
 
+def test_rev_classes_by_norm_form_sign(alg):
+    # 11 is no sum of two rational squares and 11/k is no square for
+    # k = 1..7, but the pure norm form is positive definite of dimension 7,
+    # so it represents 11: 3i + j + k is a right eigenvalue of z^2 + 11
+    phi = parse_polynomial("z^2 + 11", alg)
+    assert [(c.trace, c.norm) for c in rev_classes(phi)] == [(0, 11)]
+    assert rev_test(phi, alg.parse("3*i + j + k")).member
+    quartic = parse_polynomial("z^4 + 12*z^2 + 11", alg)
+    assert [(c.trace, c.norm) for c in rev_classes(quartic)] == [(0, 1), (0, 11)]
+    # z^2 - 2 has real roots +-sqrt(2), which are not rational
+    assert rev_classes(parse_polynomial("z^2 - 2", alg)) == []
+
+
 def test_verify_eigen_pair_examples(alg, psi):
     C = companion_matrix(psi)
     j = alg.basis_element(2)

@@ -1,11 +1,13 @@
 """The end-to-end solver: class resolution, witnesses, verification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from octopoly import (
     FULL_CLASS,
+    NOT_EMBEDDABLE,
     OctonionAlgebra,
     SINGLE_ROOT,
     StandardPolynomial,
@@ -83,6 +85,21 @@ def test_solve_derived_quartic(alg):
     assert [(c.trace, c.norm) for c, _ in rep.classes] == [(0, 1), (0, 2)]
 
 
+def test_real_quadratic_classes_are_not_embeddable():
+    # the norm form of a division algebra is positive definite, so the class
+    # of an irreducible quadratic with real roots (trace^2 > 4 norm) is
+    # empty, and solve says so without a warning
+    A = OctonionAlgebra(-2, -3, -5)
+    for text, classes in [
+        ("z^2 - 2", [(0, -2)]),
+        ("z^4 - 5*z^2 + 6", [(0, -3), (0, -2)]),
+    ]:
+        rep = solve(parse_polynomial(text, A))
+        assert [(c.trace, c.norm) for c, _ in rep.classes] == classes
+        assert all(r.status == NOT_EMBEDDABLE for _, r in rep.classes)
+        assert rep.warnings == ()
+
+
 def test_resolve_class_examples(alg):
     phi = parse_polynomial("i*z^2 + j*z + l", alg)
     res = resolve_class(phi, ClassCandidate(F(1), F(1), 2, 1))
@@ -150,6 +167,21 @@ def test_planted_roots_float(alg_float, rng):
         assert rep.roots, "planted root lost: %r" % (rep.classes,)
         best = min(max(abs(a - b) for a, b in zip(r.coords, lam.coords)) for r in rep.roots)
         assert best < 1e-8
+
+
+@pytest.mark.parametrize("params", [(-1, -1, -1), (-2, -3, -5)])
+def test_planted_roots_float_grid(params):
+    # degree 4-16 with coordinates in [-1, 1] and [-2, 2], five seeds each:
+    # every planted root is reported within 1e-6
+    A = OctonionAlgebra(*params, mode="float")
+    rng = random.Random(20261018)
+    for degree in (4, 8, 12, 16):
+        for span in (1, 2):
+            for _ in range(5):
+                phi, lam = _plant(rng, A, degree, span)
+                rep = solve(phi)
+                best = min((max(map(abs, (r - lam).coords)) for r in rep.roots), default=1.0)
+                assert best < 1e-6, (degree, span, rep.classes)
 
 
 def test_class_dichotomy_sampling(alg, rng):
