@@ -7,7 +7,11 @@ with l*l = gamma, multiplied by the doubling rule
 
 Elements are coordinate vectors over the fixed basis
 
-    e0=1, e1=i, e2=j, e3=ij, e4=l, e5=i*l, e6=j*l, e7=(ij)*l.
+    e0=1, e1=i, e2=j, e3=ij, e4=l, e5=i*l, e6=j*l, e7=(ij)*l,
+
+stored in the form of the algebra's scalar backend: in exact mode 8 ints
+over one positive denominator, read as reduced ``Fraction`` coordinates
+through ``Octonion.coords``; in float mode 8 floats.
 
 The 8x8 structure table is derived once per algebra by applying the doubling
 rule (recursively, down through the quaternion and complex levels) to basis
@@ -78,6 +82,14 @@ class OctonionAlgebra:
         self.norm_coeffs = (self._one,) + tuple(
             -self._table[k][k][0] for k in range(1, 8)
         )
+        self._mul = self.backend.multiplier(self._table)
+        self._norm = self.backend.norm_form(self.norm_coeffs)
+        self._basis = tuple(
+            self.octonion([self._one if t == k else self._zero for t in range(8)])
+            for k in range(8)
+        )
+        self.zero = self.octonion([self._zero] * 8)
+        self.one = self._basis[0]
         self._division = None
 
     def scalar(self, value):
@@ -114,29 +126,18 @@ class OctonionAlgebra:
     # -- element constructors ------------------------------------------------
 
     def octonion(self, coords):
-        coords = tuple(self.scalar(c) for c in coords)
+        coords = [self.scalar(c) for c in coords]
         if len(coords) != 8:
             raise ConfigurationError("an octonion needs exactly 8 coordinates")
-        return Octonion(self, coords)
+        return Octonion(self, self.backend.vector(coords))
 
     def scalar_octonion(self, value):
-        c = self.scalar(value)
-        return Octonion(self, (c,) + (self._zero,) * 7)
+        return self.octonion([value] + [self._zero] * 7)
 
     def basis_element(self, k):
         if not 0 <= k <= 7:
             raise ConfigurationError("basis index out of range: %r" % (k,))
-        return Octonion(
-            self, tuple(self._one if t == k else self._zero for t in range(8))
-        )
-
-    @property
-    def zero(self):
-        return self.scalar_octonion(0)
-
-    @property
-    def one(self):
-        return self.scalar_octonion(1)
+        return self._basis[k]
 
     def parse(self, text):
         """Parse an octonion literal such as '1/2 + 1/2*k + 1/2*il + 1/2*jl'."""
@@ -156,7 +157,7 @@ class OctonionAlgebra:
         )
 
     def check_same(self, other):
-        if not self.same_params(other):
+        if other is not self and not self.same_params(other):
             raise ConfigurationError("operands belong to different algebras")
 
     # -- division-algebra test -----------------------------------------------
@@ -215,14 +216,21 @@ class Octonion:
 
     Supports ``+ - *`` (octonion and scalar operands), ``/`` by a scalar and
     ``**`` by a nonnegative int; powers are computed by repeated left
-    multiplication, which is unambiguous by power-associativity.
+    multiplication, which is unambiguous by power-associativity.  ``vec`` is
+    the backend's stored form and ``coords`` the 8 scalar coordinates.
     """
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "vec")
 
-    def __init__(self, algebra, coords):
+    def __init__(self, algebra, vec):
         self.algebra = algebra
-        self.coords = coords
+        self.vec = vec
+
+    @property
+    def coords(self):
+        """The coordinates as a tuple of scalars (reduced Fractions in exact
+        mode)."""
+        return self.algebra.backend.coords(self.vec)
 
     def _binary(self, other):
         if isinstance(other, Octonion):
@@ -234,42 +242,27 @@ class Octonion:
         o = self._binary(other)
         if o is None:
             return NotImplemented
-        return Octonion(self.algebra, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return Octonion(self.algebra, self.algebra.backend.add(self.vec, o.vec))
 
     def __sub__(self, other):
         o = self._binary(other)
         if o is None:
             return NotImplemented
-        return Octonion(self.algebra, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return Octonion(self.algebra, self.algebra.backend.sub(self.vec, o.vec))
 
     def __neg__(self):
-        return Octonion(self.algebra, tuple(-a for a in self.coords))
+        return Octonion(self.algebra, self.algebra.backend.neg(self.vec))
 
     def __mul__(self, other):
+        alg = self.algebra
         if isinstance(other, Octonion):
-            self.algebra.check_same(other.algebra)
-            table = self.algebra._table
-            out = [self.algebra._zero] * 8
-            for a, xa in enumerate(self.coords):
-                if xa == 0:
-                    continue
-                row = table[a]
-                for b, yb in enumerate(other.coords):
-                    if yb == 0:
-                        continue
-                    c, k = row[b]
-                    if c == 1:
-                        out[k] = out[k] + xa * yb
-                    elif c == -1:
-                        out[k] = out[k] - xa * yb
-                    else:
-                        out[k] = out[k] + c * xa * yb
-            return Octonion(self.algebra, tuple(out))
+            alg.check_same(other.algebra)
+            return Octonion(alg, alg._mul(self.vec, other.vec))
         try:
-            s = self.algebra.scalar(other)
+            s = alg.scalar(other)
         except TypeError:
             return NotImplemented
-        return Octonion(self.algebra, tuple(a * s for a in self.coords))
+        return Octonion(alg, alg.backend.scale(self.vec, s))
 
     def __rmul__(self, other):
         # scalar * octonion; scalars are central so the order is immaterial
@@ -279,7 +272,7 @@ class Octonion:
         s = self.algebra.scalar(other)
         if s == 0:
             raise ZeroDivisionError("division of an octonion by scalar zero")
-        return Octonion(self.algebra, tuple(a / s for a in self.coords))
+        return Octonion(self.algebra, self.algebra.backend.divide(self.vec, s))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -292,10 +285,12 @@ class Octonion:
     def __eq__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return self.algebra.same_params(other.algebra) and self.coords == other.coords
+        return (
+            other.algebra is self.algebra or self.algebra.same_params(other.algebra)
+        ) and self.vec == other.vec
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash(self.vec)
 
     def __repr__(self):
         from .literals import format_octonion
@@ -306,17 +301,14 @@ class Octonion:
 
     def conj(self):
         """Symplectic involution: fixes e0, negates e1..e7."""
-        c = self.coords
-        return Octonion(self.algebra, (c[0],) + tuple(-a for a in c[1:]))
+        return Octonion(self.algebra, self.algebra.backend.conj(self.vec))
 
     def trace(self):
-        return self.coords[0] + self.coords[0]
+        return self.algebra.backend.trace(self.vec)
 
     def norm(self):
         """Value of the diagonal norm form; equals (conj(x) * x)_0."""
-        return sum(
-            q * c * c for q, c in zip(self.algebra.norm_coeffs, self.coords)
-        )
+        return self.algebra._norm(self.vec)
 
     def invariants(self):
         """The central pair (trace, norm); conjugation-invariant."""
@@ -324,8 +316,7 @@ class Octonion:
 
     def pure(self):
         """The trace-zero part x - x0."""
-        z = self.algebra._zero
-        return Octonion(self.algebra, (z,) + self.coords[1:])
+        return self.algebra.octonion((0,) + self.coords[1:])
 
     def inverse(self):
         n = self.norm()
@@ -333,8 +324,13 @@ class Octonion:
             raise SingularElementError("element has (numerically) zero norm")
         return self.conj() / n
 
+    def is_zero(self, scale=None):
+        """Zero by the backend's test: exactly in exact mode, at the scale
+        ``scale()`` returns (default 1) in float mode."""
+        return self.algebra.backend.vector_is_zero(self.vec, scale)
+
     def is_exactly_zero(self):
-        return all(c == 0 for c in self.coords)
+        return self.vec == self.algebra.zero.vec
 
     def is_central(self):
         return all(c == 0 for c in self.coords[1:])
@@ -386,7 +382,7 @@ def conjugator(g, h):
     def scale():
         return max(1.0, g.max_abs(), h.max_abs())
 
-    if not alg.backend.all_zero(delta.coords, scale):
+    if not delta.is_zero(scale):
         return delta
     # g == conj(h); central g means g == h and anything conjugates.
     if g.is_central():

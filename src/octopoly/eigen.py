@@ -88,8 +88,8 @@ def _membership(phi, lam, side):
     cols = []
     for b in range(8):
         e = alg.basis_element(b)
-        cols.append((red.E * act(e) + red.G * e).coords)
-    kernel = alg.backend.nullspace([[cols[c][r] for c in range(8)] for r in range(8)])
+        cols.append((red.E * act(e) + red.G * e).vec)
+    kernel = alg.backend.nullspace(cols)
     if kernel is None:
         return MembershipReport(False)
     gamma = alg.octonion(kernel)
@@ -121,7 +121,7 @@ def _class_point_parts(phi, norm, trace, g):
     if not phi.is_monic():
         raise ValueError("class points require a monic polynomial")
     red = reduce_to_linear(phi, norm, trace)
-    if phi.algebra.backend.all_zero(red.E.coords):
+    if red.E.is_zero():
         raise ValueError(
             "E(N,T) = 0: the whole class consists of eigenvalues; "
             "use a class witness instead"
@@ -187,7 +187,7 @@ def verify_eigen_pair(C: CompanionMatrix, lam: Octonion, vec, side) -> bool:
                 for c in range(C.degree)
             ) + lam.max_abs() * vec[r].max_abs()
 
-        ok = ok and alg.backend.all_zero((acc - want).coords, scale)
+        ok = ok and (acc - want).is_zero(scale)
     return ok
 
 

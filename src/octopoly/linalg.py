@@ -1,10 +1,11 @@
 """Nullspace extraction for the 8x8 scalar operator matrices.
 
-Exact mode clears denominators row-wise and runs fraction-free (Bareiss)
-elimination over the integers, so no intermediate rationals appear until the
-final back-substitution.  Float mode uses column-pivoted elimination with
-zero-at-scale pivot decisions.  Both return a single kernel vector built from
-the first free column, which keeps reports deterministic.
+Exact mode takes an integer matrix (the exact backend brings the columns
+over one denominator) and runs fraction-free (Bareiss) elimination, so no
+intermediate rationals appear until the final back-substitution.  Float
+mode uses column-pivoted elimination with zero-at-scale pivot decisions.
+Both return a single kernel vector built from the first free column, which
+keeps reports deterministic.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ def clear_denominators(values):
 
 
 def exact_nullspace_vector(rows):
-    """One exact kernel vector of a matrix of Fractions, or None if regular.
+    """One exact kernel vector of an integer matrix, as Fractions, or None
+    if the matrix is regular.
 
     The vector is normalized so its first nonzero coordinate is 1.
     """
-    m = [clear_denominators([Fraction(x) for x in row]) for row in rows]
+    m = [list(row) for row in rows]
     nrows = len(m)
     ncols = len(m[0])
     prev = 1

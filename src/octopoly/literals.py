@@ -88,8 +88,8 @@ class _Parser:
 
     # term := number ['*' basis] | basis
     def octonion_term(self):
+        """The term's one nonzero coordinate as (index, value)."""
         tok = self.next()
-        coords = [self.algebra._zero] * 8
         if tok[0] == "number":
             value = self.number(tok)
             if self.peek()[0] == "op" and self.peek()[1] == "*":
@@ -97,18 +97,15 @@ class _Parser:
                 self.next()
                 nxt = self.next()
                 if nxt[0] == "name" and nxt[1] in BASIS_SYMBOLS:
-                    coords[BASIS_SYMBOLS[nxt[1]]] = value
-                    return coords
+                    return BASIS_SYMBOLS[nxt[1]], value
                 if nxt[0] == "name" and nxt[1] != "z":
                     self.fail("unknown basis symbol %r" % nxt[1], nxt)
                 self.k = save  # the '*' belongs to an enclosing z-term
-            coords[0] = value
-            return coords
+            return 0, value
         if tok[0] == "name":
             if tok[1] not in BASIS_SYMBOLS:
                 self.fail("unknown basis symbol %r" % tok[1], tok)
-            coords[BASIS_SYMBOLS[tok[1]]] = self.algebra._one
-            return coords
+            return BASIS_SYMBOLS[tok[1]], self.algebra._one
         self.fail("expected a coefficient or basis symbol", tok)
 
     def octonion_expr(self):
@@ -124,9 +121,8 @@ class _Parser:
                 if tok[0] != "op" or tok[1] not in "+-":
                     return coords
             s = self.sign()
-            term = self.octonion_term()
-            for idx in range(8):
-                coords[idx] = coords[idx] + s * term[idx]
+            idx, value = self.octonion_term()
+            coords[idx] = coords[idx] + value if s > 0 else coords[idx] - value
             first = False
 
 
@@ -155,10 +151,10 @@ def parse_polynomial(text, algebra):
         if not first and not (tok[0] == "op" and tok[1] in "+-"):
             p.fail("expected '+' or '-' between terms")
         s = p.sign()
-        coords, degree = _poly_term(p)
+        terms, degree = _poly_term(p)
         cur = by_degree.setdefault(degree, [algebra._zero] * 8)
-        for idx in range(8):
-            cur[idx] = cur[idx] + s * coords[idx]
+        for idx, value in terms:
+            cur[idx] = cur[idx] + value if s > 0 else cur[idx] - value
         first = False
     if first:
         raise ParseError("empty polynomial", text, 0)
@@ -176,27 +172,26 @@ def parse_polynomial(text, algebra):
 
 
 def _poly_term(p):
-    """One polynomial term -> (octonion coords, degree)."""
+    """One polynomial term -> (its nonzero coordinates as (index, value)
+    pairs, degree)."""
     tok = p.peek()
     if tok[0] == "name" and tok[1] == "z":
-        coords = [p.algebra._zero] * 8
-        coords[0] = p.algebra._one
-        return coords, _z_degree(p)
+        return [(0, p.algebra._one)], _z_degree(p)
     if tok[0] == "op" and tok[1] == "(":
         p.next()
-        coords = p.octonion_expr()
+        terms = [(idx, c) for idx, c in enumerate(p.octonion_expr()) if c != 0]
         p.expect_op(")")
     else:
-        coords = p.octonion_term()
+        terms = [p.octonion_term()]
     nxt = p.peek()
     if nxt[0] == "op" and nxt[1] == "*":
         save = p.k
         p.next()
         if p.peek()[0] == "name" and p.peek()[1] == "z":
-            return coords, _z_degree(p)
+            return terms, _z_degree(p)
         p.k = save
         p.fail("expected 'z' after '*'")
-    return coords, 0
+    return terms, 0
 
 
 def _z_degree(p):

@@ -65,12 +65,12 @@ def eval_at(phi: StandardPolynomial, lam: Octonion) -> Octonion:
     """Substitute lam for the variable.
 
     Powers lam^i are built by repeated multiplication (any bracketing agrees
-    by power-associativity) and multiplied by their coefficients on the left.
+    by power-associativity) and multiplied by their coefficients on the left;
+    the sum starts at c_0 and the powers at lam, so no product by 1 is spent.
     """
     phi.algebra.check_same(lam.algebra)
-    acc = phi.algebra.zero
-    power = phi.algebra.one
-    for i, c in enumerate(phi.coeffs):
+    acc, power = phi.coeffs[0], lam
+    for i, c in enumerate(phi.coeffs[1:]):
         if i > 0:
             power = lam * power
         acc = acc + c * power
@@ -151,9 +151,8 @@ class CentralPolynomial:
     def __call__(self, z):
         """Evaluate at a scalar, complex number or octonion."""
         if isinstance(z, Octonion):
-            acc = z.algebra.zero
-            power = z.algebra.one
-            for i, b in enumerate(self.coeffs):
+            acc, power = z.algebra.scalar_octonion(self.coeffs[0]), z
+            for i, b in enumerate(self.coeffs[1:]):
                 if i > 0:
                     power = z * power
                 acc = acc + b * power

@@ -75,7 +75,7 @@ def verify_root(phi: StandardPolynomial, lam: Octonion) -> bool:
         lam_mag = lam.max_abs()
         return sum(c.max_abs() * lam_mag**i for i, c in enumerate(phi.coeffs))
 
-    return phi.algebra.backend.all_zero(value.coords, scale)
+    return value.is_zero(scale)
 
 
 def class_embeds(algebra: OctonionAlgebra, norm, trace) -> bool:
@@ -184,8 +184,8 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
             for c, eg in zip(phi.coeffs, eg_sequence(norm, trace, alg._zero, alg._one))
         )
 
-    if alg.backend.all_zero(red.E.coords, scale(0)):
-        if alg.backend.all_zero(red.G.coords, scale(1)):
+    if red.E.is_zero(scale(0)):
+        if red.G.is_zero(scale(1)):
             witness = class_witness(alg, norm, trace)
             if witness is None:
                 return ClassResolution(

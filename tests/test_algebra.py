@@ -1,6 +1,7 @@
 """Octonion arithmetic: structure table, involution, invariants, inversion,
 conjugacy utilities and the division-algebra check."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from octopoly import (
     SingularElementError,
     bilinear_form,
     conjugator,
+    format_octonion,
     same_class,
 )
 from conftest import rand_invertible, rand_octonion
@@ -35,14 +37,34 @@ def test_table_generic_params(alg_generic):
     assert t[1][1] == (Fraction(-2), 0)
 
 
-def test_mul_agrees_with_oracle(rng):
-    for params in [(-1, -1, -1), (2, 3, 5), (-2, -3, -5)]:
+RATIONAL_PARAMS = (Fraction(-1, 2), -3, Fraction(-5, 7))
+
+
+@pytest.mark.parametrize("max_den", [3, 10**6])
+def test_mul_agrees_with_oracle(rng, max_den):
+    for params in [(-1, -1, -1), (2, 3, 5), (-2, -3, -5), RATIONAL_PARAMS]:
         A = OctonionAlgebra(*params)
         for _ in range(200):
-            x = rand_octonion(rng, A, max_den=3)
-            y = rand_octonion(rng, A, max_den=3)
+            x = rand_octonion(rng, A, max_den=max_den)
+            y = rand_octonion(rng, A, max_den=max_den)
             expected = oracle_mul(x.coords, y.coords, A.alpha, A.beta, A.gamma)
             assert (x * y).coords == expected
+
+
+@pytest.mark.parametrize("params", [(-2, -3, -5), RATIONAL_PARAMS])
+def test_exact_form_is_canonical(params, rng):
+    A = OctonionAlgebra(*params)
+    for _ in range(100):
+        x = rand_octonion(rng, A, max_den=10**6)
+        y = rand_octonion(rng, A, max_den=10**6)
+        xy = x * y
+        for c in xy.coords:
+            assert isinstance(c, Fraction)
+            assert math.gcd(c.numerator, c.denominator) == 1
+        for a, b in [(xy, A.parse(format_octonion(xy))), ((x + y) - y, x)]:
+            assert a == b and hash(a) == hash(b)
+        zero = x - x
+        assert zero == A.zero and zero.vec[1] == 1
 
 
 def test_golden_products(alg):
