@@ -2,10 +2,13 @@
 
 Each closure root that generates an extension of degree <= 2 is collapsed to
 its (trace, norm) pair -- a conjugacy-class candidate.  Exact mode finds
-every rational factor of degree <= 2 by a complete modular search: the
-factors of degree 1 and 2 modulo a small prime are Hensel-lifted and
-confirmed by trial division over Q.  Float mode finds all complex roots by
-Aberth-Ehrlich iteration and clusters them by their inclusion discs.
+every rational factor of degree <= 2 by a complete modular search on
+integer polynomials: the integer square-free part is taken by a primitive
+remainder sequence, its factors of degree 1 and 2 modulo a small prime are
+lifted by p-adic Newton (Bairstow) steps, and each candidate is confirmed
+by integer trial division that stops at the first leading term that does
+not divide.  Float mode finds all complex roots by Aberth-Ehrlich iteration
+and clusters them by their inclusion discs.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NumericFailureError
+from .linalg import clear_denominators
 from .polynomials import CentralPolynomial
 from .scalars import FLOAT, ToleranceSpec, backend_for
 
@@ -89,17 +93,12 @@ def _divmod(a, b, m):
     return _trim(q), _trim([x % m for x in r[: len(b) - 1]])
 
 
-def _xgcd(a, b, p):
-    """(g, s, t) with g the monic gcd of a != 0 and b over F_p and
-    s a + t b = g."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _add(s0, _mul(q, s1, p), p, -1)
-        t0, t1 = t1, _add(t0, _mul(q, t1, p), p, -1)
-    inv = pow(r0[-1], -1, p)
-    return tuple([x * inv % p for x in c] for c in (r0, s0, t0))
+def _monic_gcd(a, b, p):
+    """The monic gcd of a != 0 and b over F_p."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
 
 
 def _powmod(a, e, f, p):
@@ -131,27 +130,6 @@ class ExactFactorization:
     truncated: bool = False
 
 
-def _divide_out(p, factor):
-    """(p / factor^k, k) for the largest k such that factor^k divides p and
-    each quotient keeps the degree of factor."""
-    mult = 0
-    while p.degree >= factor.degree:
-        q, r = divmod(p, factor)
-        if not r.is_zero():
-            break
-        p = q
-        mult += 1
-    return p, mult
-
-
-def _gcd(a, b):
-    """A gcd over Q of two nonzero polynomials, by Euclid's algorithm with
-    each remainder made primitive."""
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1].primitive()
-    return a
-
-
 def _split(g, d, p, rng):
     """The monic irreducible factors of g, a product of distinct monic
     irreducibles of degree d over F_p, p odd (Cantor-Zassenhaus)."""
@@ -160,7 +138,7 @@ def _split(g, d, p, rng):
     while True:
         a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
         b = _add(_powmod(a, (p**d - 1) // 2, g, p), [1], p, -1)
-        u = _xgcd(g, b, p)[0]
+        u = _monic_gcd(g, b, p)
         if 1 < len(u) < len(g):
             return _split(u, d, p, rng) + _split(_divmod(g, u, p)[0], d, p, rng)
 
@@ -171,55 +149,122 @@ def _local_factors(f, p, rng):
     degree 1, and g2 = gcd(f, z^(p^2) - z) / g1 for degree 2."""
     z = [0, 1]
     zp = _powmod(z, p, f, p)
-    g1 = _xgcd(f, _add(zp, z, p, -1), p)[0]
-    g12 = _xgcd(f, _add(_powmod(zp, p, f, p), z, p, -1), p)[0]
+    g1 = _monic_gcd(f, _add(zp, z, p, -1), p)
+    g12 = _monic_gcd(f, _add(_powmod(zp, p, f, p), z, p, -1), p)
     return _split(g1, 1, p, rng) + _split(_divmod(g12, g1, p)[0], 2, p, rng)
 
 
-def _hensel_lift(f, u, p, m):
-    """The monic factor h of f mod m = p^(2^j) with h = u mod p, for an
-    integer polynomial f that is square-free mod p with lc(f) a unit, and a
-    monic factor u of f mod p (Hensel step, von zur Gathen & Gerhard,
-    Alg. 15.10, on f = g h with cofactor g)."""
-    g = _divmod([c % p for c in f], u, p)[0]
-    _, s, t = _xgcd(g, u, p)
+def _newton_lift(S, u, p, m):
+    """The monic factor h of S mod m = p^(2^j) with h = u mod p, for an
+    integer polynomial S that is square-free mod p with lc(S) a unit, and a
+    monic factor u of degree 1 or 2 of S mod p.
+
+    p-adic Newton iteration on h's own coefficients, each step doubling the
+    modulus.  A root r takes r - S(r) / S'(r).  A quadratic z^2 + a z + b
+    takes the Bairstow step: with S = h q + r_1 z + r_0 and
+    q = h q_2 + s_1 z + s_0, the Jacobian of (r_1, r_0) in (a, b) is
+    [[a s_1 - s_0, -s_1], [b s_1, -s_0]], whose determinant is the
+    resultant of h and q, a unit because S is square-free mod p."""
     h, mod = u, p
     while mod < m:
         mod *= mod
-        e = _add(f, _mul(g, h, mod), mod, -1)
-        q, r = _divmod(_mul(s, e, mod), h, mod)
-        g = _add(_add(g, _mul(t, e, mod), mod), _mul(q, g, mod), mod)
-        h = _add(h, r, mod)
-        b = _add(_add(_mul(s, g, mod), _mul(t, h, mod), mod), [1], mod, -1)
-        c, d = _divmod(_mul(s, b, mod), h, mod)
-        s = _add(s, d, mod, -1)
-        t = _add(_add(t, _mul(t, b, mod), mod, -1), _mul(c, g, mod), mod, -1)
+        if len(h) == 2:
+            r, v, dv = -h[0], 0, 0
+            for c in reversed(S):
+                dv = (dv * r + v) % mod
+                v = (v * r + c) % mod
+            h = [(v * pow(dv, -1, mod) - r) % mod, 1]
+        else:
+            b, a = h[0], h[1]
+            q, rem = _divmod(S, h, mod)
+            r0, r1 = rem + [0] * (2 - len(rem))
+            rem = _divmod(q, h, mod)[1]
+            s0, s1 = rem + [0] * (2 - len(rem))
+            inv = pow(s0 * s0 - a * s0 * s1 + b * s1 * s1, -1, mod)
+            da = (s1 * r0 - s0 * r1) * inv
+            db = ((a * s1 - s0) * r0 - b * s1 * r1) * inv
+            h = [(b - db) % mod, (a - da) % mod, 1]
     return h
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Z: int lists c_0..c_n, nonzero
+# ---------------------------------------------------------------------------
+
+
+def _primitive(a):
+    """a divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return [c // g for c in a]
+
+
+def _pseudo_remainder(a, b):
+    """A remainder of lc(b)^k a by b over Z, for some k >= 0."""
+    r, lb, n = list(a), b[-1], len(b) - 1
+    while len(r) > n:
+        c = r.pop()
+        k = len(r) - n
+        r = [lb * x for x in r]
+        for j in range(n):
+            r[k + j] -= c * b[j]
+        _trim(r)
+    return r
+
+
+def _primitive_gcd(a, b):
+    """The primitive gcd with positive leading coefficient of two nonzero
+    integer polynomials, by the primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        r = _pseudo_remainder(a, b)
+        a, b = b, _primitive(r) if r else r
+    return a
+
+
+def _quotient(a, b):
+    """a / b if b divides a over Z, else None.  The division stops at the
+    first quotient coefficient that is not an integer: for a primitive b
+    that already proves b does not divide a over Q (Gauss's lemma)."""
+    n, lb = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - n, 0)
+    for k in reversed(range(len(q))):
+        c, rest = divmod(r[k + n], lb)
+        if rest:
+            return None
+        q[k] = c
+        if c:
+            for j in range(n):
+                r[k + j] -= c * b[j]
+    return None if any(r[:n]) else q
 
 
 def exact_quadratic_factors(Phi: CentralPolynomial):
     """Extract every monic rational factor of degree <= 2, with multiplicity.
 
     The search is complete (small-prime Zassenhaus method, von zur Gathen &
-    Gerhard, Modern Computer Algebra, ch. 14-15).  S is the square-free
-    part of the primitive integer form of Phi, and p the smallest odd prime
-    with p not dividing lc(S) and S mod p square-free.  The irreducible
-    factors of degree 1 and 2 of S mod p are Hensel-lifted to the first
-    m = p^(2^j) > 4 (floor(||S||_2) + 1).  Every integer factor F of S of
-    degree <= 2 has lc(S)/lc(F) F congruent mod m to lc(S) times a lifted
+    Gerhard, Modern Computer Algebra, ch. 14-15) and runs on integer
+    polynomials throughout.  R is the primitive integer form of Phi and
+    S = R / gcd(R, R') its square-free part, the gcd taken by a primitive
+    pseudo-remainder sequence.  p is the smallest odd prime with p not
+    dividing lc(S) and S mod p square-free.  The irreducible factors of
+    degree 1 and 2 of S mod p are lifted by p-adic Newton iteration to the
+    first m = p^(2^j) > 4 (floor(||S||_2) + 1).  Every integer factor F of S
+    of degree <= 2 has lc(S)/lc(F) F congruent mod m to lc(S) times a lifted
     factor or a product of two lifted linears, and its coefficients are
     below 2 ||S||_2 < m/2 in absolute value (Mignotte), so the symmetric
-    residue recovers it.  Each candidate is confirmed by trial division of
-    Phi, which also gives its multiplicity.
+    residue recovers it.  Each candidate, made primitive, is confirmed by
+    exact integer division of R, repeated for its multiplicity; a division
+    stops at the first leading term that does not divide.  The remainder is
+    what is left of R, rescaled to Phi's leading coefficient.
     """
     if not all(isinstance(c, (int, Fraction)) for c in Phi.coeffs):
         raise ValueError("exact_quadratic_factors needs exact-rational coefficients")
-    rem = CentralPolynomial([Fraction(c) for c in Phi.coeffs])
-    if rem.degree < 1:
-        return ExactFactorization((), rem)
-    P = rem.primitive()
-    dP = CentralPolynomial([k * c for k, c in enumerate(P.coeffs)][1:])
-    S = list(divmod(P, _gcd(P, dP))[0].primitive().coeffs)
+    coeffs = [Fraction(c) for c in Phi.coeffs]
+    if len(coeffs) < 2:
+        return ExactFactorization((), CentralPolynomial(coeffs))
+    R = _primitive(clear_denominators(coeffs))
+    S = _quotient(R, _primitive_gcd(R, [k * c for k, c in enumerate(R)][1:]))
     lead = S[-1]
     p = 1
     while True:
@@ -227,26 +272,29 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
         if lead % p == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
             continue
         f = _mul(S, [pow(lead, -1, p)], p)
-        if len(_xgcd(f, _trim([k * c % p for k, c in enumerate(f)][1:]), p)[0]) == 1:
+        if len(_monic_gcd(f, _trim([k * c % p for k, c in enumerate(f)][1:]), p)) == 1:
             break
     m = p
     while m <= 4 * (math.isqrt(sum(c * c for c in S)) + 1):
         m *= m
-    local = [_hensel_lift(S, u, p, m) for u in _local_factors(f, p, random.Random(0))]
+    local = [_newton_lift(S, u, p, m) for u in _local_factors(f, p, random.Random(0))]
     pairs = itertools.combinations([h for h in local if len(h) == 2], 2)
     factors = []
     # the linears come first, so every rational root is taken from them
     for h in local + [_mul(a, b, m) for a, b in pairs]:
-        sym = [x - m if 2 * x > m else x for x in (lead * c % m for c in h)]
-        factor = CentralPolynomial([Fraction(c, lead) for c in sym])
-        rem, mult = _divide_out(rem, factor)
+        F = _primitive([x - m if 2 * x > m else x for x in (lead * c % m for c in h)])
+        mult = 0
+        while (Q := _quotient(R, F)) is not None:
+            R = Q
+            mult += 1
         if mult:
-            factors.append((factor, mult))
+            factors.append((CentralPolynomial([Fraction(c, F[-1]) for c in F]), mult))
     # linears by root ascending, then quadratics by (norm, -trace)
     factors.sort(
         key=lambda fm: (1, -fm[0].coeffs[0]) if fm[0].degree == 1 else (2, *fm[0].coeffs)
     )
-    return ExactFactorization(tuple(factors), rem)
+    scale = coeffs[-1] / R[-1]
+    return ExactFactorization(tuple(factors), CentralPolynomial([scale * c for c in R]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,27 +21,21 @@ MAX_DEGREE = 16
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+/\d+|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z]+)|(?P<op>[-+*^()]))"
+    r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z]+)|(?P<op>[-+*^()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text):
+    """(kind, text, offset) tokens of a literal, ending with an "end" token.
+
+    One scan: consecutive matches cover the text up to trailing whitespace,
+    and any character that starts no token matches ``bad``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError("unexpected character %r" % stripped[0], text, pos)
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.group("op") is not None:
-            tokens.append(("op", m.group("op"), pos + len(m.group()) - 1))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % m[kind], text, m.start())
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -82,7 +82,9 @@ class CentralPolynomial:
 
     The constructor rejects the zero polynomial, which arithmetic may return
     as the single coefficient 0.  Division and the primitive form need
-    rational coefficients.
+    rational coefficients.  Both are public, with their own tests; the
+    exact factor search in ``central`` does not use them, since it works on
+    integer coefficient lists.
     """
 
     def __init__(self, coeffs, mode=EXACT):

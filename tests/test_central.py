@@ -139,39 +139,99 @@ def test_factors_planted_quadratics_are_all_found(quadratics):
     assert not fact.truncated
 
 
-def test_factors_match_sympy_on_companions():
-    # companions of planted polynomials of degree 2-16 over both algebras,
-    # monic and not (each combination every four cases), coordinates in
-    # [-2, 2]: the factors of degree <= 2 and the degree of the rest agree
-    # with sympy's factorization over Q
-    sympy = pytest.importorskip("sympy")
+def test_factors_lifted_far_above_the_prime():
+    # factor coefficients far above the small prime: the Newton lifts of
+    # the root and of the quadratic must reach them exactly
+    p = _times(_times([-12345, 1], [250003, 1001, 1]), [-2, 0, 0, 1])
+    fact = exact_quadratic_factors(CentralPolynomial(p))
+    assert [(f.coeffs, m) for f, m in fact.factors] == [
+        ((F(-12345), F(1)), 1),
+        ((F(250003), F(1001), F(1)), 1),
+    ]
+    assert fact.remainder.coeffs == (F(-2), F(0), F(0), F(1))
+
+
+def test_factors_of_a_polynomial_that_is_not_square_free():
+    # (z - 3)^2 (z^2 + z + 1)^3 (z^3 - 2)^2: the search runs on the
+    # square-free part, the trial divisions give the multiplicities
+    p = [1]
+    for part, mult in (([-3, 1], 2), ([1, 1, 1], 3), ([-2, 0, 0, 1], 2)):
+        for _ in range(mult):
+            p = _times(p, part)
+    fact = exact_quadratic_factors(CentralPolynomial(p))
+    assert [(f.coeffs, m) for f, m in fact.factors] == [
+        ((F(-3), F(1)), 2),
+        ((F(1), F(1), F(1)), 3),
+    ]
+    assert fact.remainder.coeffs == (F(4), F(0), F(0), F(-4), F(0), F(0), F(1))
+
+
+def test_factors_remainder_keeps_the_leading_coefficient():
+    # 3/1009 (z - 1/2)(z^2 + z/997 + 1)(z^3 + 3/1009 z + 1/997): the search
+    # works on the primitive integer form, and the remainder is scaled back
+    # so that factors times remainder give Phi coefficientwise
+    p = _times(_times([F(-1, 2), 1], [1, F(1, 997), 1]), [F(1, 997), F(3, 1009), 0, 1])
+    Phi = CentralPolynomial([F(3, 1009) * c for c in p])
+    fact = exact_quadratic_factors(Phi)
+    assert [(f.coeffs, m) for f, m in fact.factors] == [
+        ((F(-1, 2), F(1)), 1),
+        ((F(1), F(1, 997), F(1)), 1),
+    ]
+    assert fact.remainder.coeffs[-1] == Phi.coeffs[-1]
+    acc = list(fact.remainder.coeffs)
+    for f, m in fact.factors:
+        for _ in range(m):
+            acc = _times(acc, f.coeffs)
+    assert tuple(acc) == Phi.coeffs
+
+
+def _check_companion_against_sympy(sympy, rng, A, degree, monic):
+    # the companion of a planted polynomial (coordinates in [-2, 2]): its
+    # factors of degree <= 2 and the degree of the rest agree with sympy's
+    # factorization over Q
+    lam = rand_octonion(rng, A, -2, 2)
+    tail = [rand_octonion(rng, A, -2, 2) for _ in range(degree - 1)]
+    tail.append(A.one if monic else rand_invertible(rng, A, -2, 2))
+    c0 = A.zero
+    power = A.one
+    for c in tail:
+        power = lam * power
+        c0 = c0 + c * power
+    Phi = companion(StandardPolynomial(A, [-c0] + tail))
+    fact = exact_quadratic_factors(Phi)
     z = sympy.Symbol("z")
+    _, parts = sympy.factor_list(sympy.Poly(list(reversed(Phi.coeffs)), z))
+    want, rest = [], 0
+    for part, mult in parts:
+        if part.degree() <= 2:
+            monic_part = part.monic().all_coeffs()[::-1]
+            want.append((tuple(F(int(c.p), int(c.q)) for c in monic_part), mult))
+        else:
+            rest += part.degree() * mult
+    assert _monic_factors(fact) == sorted(want)
+    assert fact.remainder.degree == rest
+    assert not fact.truncated
+
+
+def test_factors_match_sympy_on_companions():
+    # degree 2-16 over both algebras, monic and not (each combination
+    # every four cases)
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(20261018)
     algebras = [OctonionAlgebra(-1, -1, -1), OctonionAlgebra(-2, -3, -5)]
     for case in range(30):
-        A = algebras[case % 2]
-        degree = 2 + case // 2
-        lam = rand_octonion(rng, A, -2, 2)
-        tail = [rand_octonion(rng, A, -2, 2) for _ in range(degree - 1)]
-        tail.append(A.one if case % 4 in (0, 3) else rand_invertible(rng, A, -2, 2))
-        c0 = A.zero
-        power = A.one
-        for c in tail:
-            power = lam * power
-            c0 = c0 + c * power
-        Phi = companion(StandardPolynomial(A, [-c0] + tail))
-        fact = exact_quadratic_factors(Phi)
-        _, parts = sympy.factor_list(sympy.Poly(list(reversed(Phi.coeffs)), z))
-        want, rest = [], 0
-        for part, mult in parts:
-            if part.degree() <= 2:
-                monic = part.monic().all_coeffs()[::-1]
-                want.append((tuple(F(int(c.p), int(c.q)) for c in monic), mult))
-            else:
-                rest += part.degree() * mult
-        assert _monic_factors(fact) == sorted(want)
-        assert fact.remainder.degree == rest
-        assert not fact.truncated
+        monic = case % 4 in (0, 3)
+        _check_companion_against_sympy(sympy, rng, algebras[case % 2], 2 + case // 2, monic)
+
+
+def test_factors_match_sympy_over_rational_parameters():
+    # companions over (-1/2, -3, -5/7) have coefficients with denominators
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261019)
+    A = OctonionAlgebra(F(-1, 2), -3, F(-5, 7))
+    for degree in range(2, 9):
+        for monic in (True, False):
+            _check_companion_against_sympy(sympy, rng, A, degree, monic)
 
 
 def test_factors_irreducible_quartic_remainder():
