@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NumericFailureError
-from .linalg import clear_denominators
 from .polynomials import CentralPolynomial
-from .scalars import FLOAT, ToleranceSpec, backend_for
+from .scalars import FLOAT, ToleranceSpec, backend_for, over_common_denominator
 
 _ABERTH_MAX_ITER = 200
 _EPS = 2.0**-52  # twice the unit roundoff
@@ -83,14 +82,14 @@ def _mul(a, b, m):
 
 def _divmod(a, b, m):
     """(quotient, remainder) of a by b mod m; lc(b) must be a unit mod m."""
-    inv = pow(b[-1], -1, m)
+    n, inv = len(b) - 1, pow(b[-1], -1, m)
     r = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
+    q = [0] * max(len(a) - n, 0)
     for k in reversed(range(len(q))):
-        q[k] = c = r[k + len(b) - 1] * inv % m
-        for j, y in enumerate(b):
-            r[k + j] -= c * y
-    return _trim(q), _trim([x % m for x in r[: len(b) - 1]])
+        q[k] = c = r[k + n] * inv % m
+        for j in range(n):  # r[k + n] is not read again
+            r[k + j] -= c * b[j]
+    return _trim(q), _trim([x % m for x in r[:n]])
 
 
 def _monic_gcd(a, b, p):
@@ -159,31 +158,27 @@ def _newton_lift(S, u, p, m):
     integer polynomial S that is square-free mod p with lc(S) a unit, and a
     monic factor u of degree 1 or 2 of S mod p.
 
-    p-adic Newton iteration on h's own coefficients, each step doubling the
-    modulus.  A root r takes r - S(r) / S'(r).  A quadratic z^2 + a z + b
-    takes the Bairstow step: with S = h q + r_1 z + r_0 and
-    q = h q_2 + s_1 z + s_0, the Jacobian of (r_1, r_0) in (a, b) is
+    p-adic Newton (Bairstow) iteration on h's own coefficients, each step
+    doubling the modulus.  For h = z^2 + a z + b, with S = h q + r_1 z + r_0
+    and q = h q_2 + s_1 z + s_0, the Jacobian of (r_1, r_0) in (a, b) is
     [[a s_1 - s_0, -s_1], [b s_1, -s_0]], whose determinant is the
-    resultant of h and q, a unit because S is square-free mod p."""
+    resultant of h and q, a unit because S is square-free mod p.  For
+    h = z + b the remainders give r_1 = s_1 = 0, so the same step keeps
+    h's leading 1 and takes b to b + r_0 / s_0: Newton's r - S(r) / S'(r)
+    at the root r = -b (von zur Gathen & Gerhard, Modern Computer Algebra,
+    sec. 15)."""
     h, mod = u, p
     while mod < m:
         mod *= mod
-        if len(h) == 2:
-            r, v, dv = -h[0], 0, 0
-            for c in reversed(S):
-                dv = (dv * r + v) % mod
-                v = (v * r + c) % mod
-            h = [(v * pow(dv, -1, mod) - r) % mod, 1]
-        else:
-            b, a = h[0], h[1]
-            q, rem = _divmod(S, h, mod)
-            r0, r1 = rem + [0] * (2 - len(rem))
-            rem = _divmod(q, h, mod)[1]
-            s0, s1 = rem + [0] * (2 - len(rem))
-            inv = pow(s0 * s0 - a * s0 * s1 + b * s1 * s1, -1, mod)
-            da = (s1 * r0 - s0 * r1) * inv
-            db = ((a * s1 - s0) * r0 - b * s1 * r1) * inv
-            h = [(b - db) % mod, (a - da) % mod, 1]
+        b, a = h[0], h[1]
+        q, rem = _divmod(S, h, mod)
+        r0, r1 = rem + [0] * (2 - len(rem))
+        rem = _divmod(q, h, mod)[1]
+        s0, s1 = rem + [0] * (2 - len(rem))
+        inv = pow(s0 * s0 - a * s0 * s1 + b * s1 * s1, -1, mod)
+        da = (s1 * r0 - s0 * r1) * inv
+        db = ((a * s1 - s0) * r0 - b * s1 * r1) * inv
+        h = [(b - db) % mod, (a - da) % mod] + h[2:]
     return h
 
 
@@ -263,7 +258,7 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
     coeffs = [Fraction(c) for c in Phi.coeffs]
     if len(coeffs) < 2:
         return ExactFactorization((), CentralPolynomial(coeffs))
-    R = _primitive(clear_denominators(coeffs))
+    R = _primitive(over_common_denominator(coeffs)[0])
     S = _quotient(R, _primitive_gcd(R, [k * c for k, c in enumerate(R)][1:]))
     lead = S[-1]
     p = 1

@@ -1,7 +1,8 @@
 """Nullspace extraction for the 8x8 scalar operator matrices.
 
-Exact mode takes an integer matrix (the exact backend brings the columns
-over one denominator) and runs fraction-free (Bareiss) elimination, so no
+The module holds one routine per scalar backend.  Exact mode takes an
+integer matrix (``scalars.Exact.nullspace`` brings the columns over one
+denominator) and runs fraction-free (Bareiss) elimination, so no
 intermediate rationals appear until the final back-substitution.  Float
 mode uses column-pivoted elimination with zero-at-scale pivot decisions.
 Both return a single kernel vector built from the first free column, which
@@ -10,15 +11,7 @@ keeps reports deterministic.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-
-def clear_denominators(values):
-    """The rationals ``values`` times the least common multiple of their
-    denominators, as ints."""
-    den = math.lcm(*(x.denominator for x in values))
-    return [int(x * den) for x in values]
 
 
 def exact_nullspace_vector(rows):

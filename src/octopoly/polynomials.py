@@ -9,12 +9,9 @@ z^2 = T z - N to a linear form E z + G, and produces both twist families.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import Octonion, OctonionAlgebra
-from .linalg import clear_denominators
 from .scalars import EXACT
 
 
@@ -78,58 +75,27 @@ def eval_at(phi: StandardPolynomial, lam: Octonion) -> Octonion:
 
 
 class CentralPolynomial:
-    """Polynomial with central (scalar) coefficients b_0..b_m.
+    """Coefficient record b_0..b_m of a polynomial with central (scalar)
+    coefficients: the companion polynomial and its factors.
 
-    The constructor rejects the zero polynomial, which arithmetic may return
-    as the single coefficient 0.  Division and the primitive form need
-    rational coefficients.  Both are public, with their own tests; the
-    exact factor search in ``central`` does not use them, since it works on
+    Trailing zero coefficients are stripped and the zero polynomial is
+    rejected at construction.  The record does no arithmetic of its own
+    beyond evaluation; the exact factor search in ``central`` works on
     integer coefficient lists.
     """
 
     def __init__(self, coeffs, mode=EXACT):
-        self.coeffs = self._make(coeffs, mode).coeffs
-        self.mode = mode
-        if self.is_zero():
-            raise ValueError("the zero polynomial is not a valid CentralPolynomial")
-
-    @classmethod
-    def _make(cls, coeffs, mode):
-        """Trailing zero coefficients stripped; the zero polynomial allowed."""
-        p = cls.__new__(cls)
         coeffs = list(coeffs)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
+        while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        p.coeffs = tuple(coeffs) or (0,)
-        p.mode = mode
-        return p
+        if not coeffs:
+            raise ValueError("the zero polynomial is not a valid CentralPolynomial")
+        self.coeffs = tuple(coeffs)
+        self.mode = mode
 
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return self.coeffs == (0,)
-
-    def __divmod__(self, divisor):
-        """(quotient, remainder) of exact division by a nonzero polynomial."""
-        p = list(self.coeffs)
-        d = divisor.coeffs
-        q = [0] * max(len(p) - len(d) + 1, 1)
-        for k in range(len(p) - len(d), -1, -1):
-            coef = Fraction(p[k + len(d) - 1], d[-1])
-            q[k] = coef
-            if coef != 0:
-                for j, b in enumerate(d):
-                    p[k + j] -= coef * b
-        return self._make(q, self.mode), self._make(p, self.mode)
-
-    def primitive(self):
-        """The integer polynomial with coprime coefficients that is a positive
-        multiple of this one."""
-        ints = clear_denominators(self.coeffs)
-        content = math.gcd(*ints) or 1
-        return self._make([c // content for c in ints], self.mode)
 
     def value_and_derivative(self, z):
         """(p(z), p'(z)) at a complex z by one joint Horner pass."""
@@ -153,12 +119,7 @@ class CentralPolynomial:
     def __call__(self, z):
         """Evaluate at a scalar, complex number or octonion."""
         if isinstance(z, Octonion):
-            acc, power = z.algebra.scalar_octonion(self.coeffs[0]), z
-            for i, b in enumerate(self.coeffs[1:]):
-                if i > 0:
-                    power = z * power
-                acc = acc + b * power
-            return acc
+            return eval_at(StandardPolynomial(z.algebra, self.coeffs), z)
         acc = 0
         for b in reversed(self.coeffs):
             acc = acc * z + b

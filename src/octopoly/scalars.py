@@ -64,6 +64,13 @@ def _table_product(rows, xs, ys, zero):
     return out
 
 
+def over_common_denominator(values):
+    """(nums, den): the rationals ``values`` as a tuple of ints over the
+    least common multiple den of their denominators."""
+    den = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
+
+
 def _reduced(nums, den):
     """The canonical exact vector nums/den, for den > 0."""
     g = math.gcd(den, *nums)
@@ -148,8 +155,7 @@ class Exact(_Backend):
     def vector(self, coords):
         """The vector of 8 Fractions; over the lcm of their denominators it is
         already canonical."""
-        den = math.lcm(*(c.denominator for c in coords))
-        return tuple(c.numerator * (den // c.denominator) for c in coords), den
+        return over_common_denominator(coords)
 
     def coords(self, v):
         nums, den = v
@@ -185,8 +191,7 @@ class Exact(_Backend):
     def norm_form(self, coeffs):
         """The diagonal form sum_k coeffs[k] x_k^2 as a function of a vector;
         the coefficients are held as ints over one denominator."""
-        qden = math.lcm(*(q.denominator for q in coeffs))
-        qs = tuple(int(q * qden) for q in coeffs)
+        qs, qden = over_common_denominator(coeffs)
 
         def norm(v):
             nums, den = v

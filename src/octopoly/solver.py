@@ -97,7 +97,8 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
     Each pure basis direction is tried first, with the backend's square root
     (over the reals, in float mode, this finds a witness whenever one
     exists); then two-direction combinations with numerators and
-    denominators up to height 50; then equal coordinates
+    denominators up to height 50, searching each binary form
+    q_a x^2 + q_b y^2 once; then equal coordinates
     t = sqrt(s / sum_{k in S} q_k) on subsets S of 2-7 pure directions.
     Absence is a legal return -- the caller decides how to report it.
     """
@@ -117,21 +118,24 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
             return algebra.octonion(coords)
     if not class_embeds(algebra, norm, trace):
         return None
-    for a in range(1, 8):
-        for b in range(a + 1, 8):
-            for den in range(1, _WITNESS_HEIGHT + 1):
-                for num in range(1, _WITNESS_HEIGHT + 1):
-                    t_a = Fraction(num, den)
-                    if t_a.numerator != num:
-                        continue  # not in lowest terms; already tried
-                    rest = (s - q[a] * t_a * t_a) / q[b]
-                    t_b = algebra.backend.sqrt(rest)
-                    if t_b is not None:
-                        coords = [Fraction(0)] * 8
-                        coords[0] = half_t
-                        coords[a] = t_a
-                        coords[b] = t_b
-                        return algebra.octonion(coords)
+    tried = set()  # binary forms (q_a, q_b) already searched in vain
+    for a, b in itertools.combinations(range(1, 8), 2):
+        if (q[a], q[b]) in tried:
+            continue
+        tried.add((q[a], q[b]))
+        for den in range(1, _WITNESS_HEIGHT + 1):
+            for num in range(1, _WITNESS_HEIGHT + 1):
+                t_a = Fraction(num, den)
+                if t_a.numerator != num:
+                    continue  # not in lowest terms; already tried
+                rest = (s - q[a] * t_a * t_a) / q[b]
+                t_b = algebra.backend.sqrt(rest)
+                if t_b is not None:
+                    coords = [Fraction(0)] * 8
+                    coords[0] = half_t
+                    coords[a] = t_a
+                    coords[b] = t_b
+                    return algebra.octonion(coords)
     for size in range(2, 8):
         for subset in itertools.combinations(range(1, 8), size):
             t = algebra.backend.sqrt(s / sum(q[k] for k in subset))

@@ -196,9 +196,14 @@ def test_twist_rejects_singular_parameter(psi):
         twist_left(poly, isotropic)
 
 
-def test_central_polynomial_basics():
+def test_central_polynomial_basics(alg):
     p = CentralPolynomial([Fraction(2), Fraction(0), Fraction(1)])
     assert p.degree == 2
     assert p(Fraction(3)) == 11
-    with pytest.raises(ValueError):
-        CentralPolynomial([0, 0])
+    assert p(alg.basis_element(1)) == alg.one  # 2 + i^2
+    # trailing zeros are stripped, exact or float
+    assert CentralPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
+    assert CentralPolynomial([1.5, 0.0, 0.0], "float").coeffs == (1.5,)
+    for zero in ([0, 0], [0.0], []):
+        with pytest.raises(ValueError):
+            CentralPolynomial(zero)

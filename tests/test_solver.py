@@ -122,6 +122,17 @@ def test_class_witness(alg):
     assert w is not None and w.invariants() == (1, F(5, 4))
 
 
+def test_class_witness_searches_each_binary_form_once(alg, monkeypatch):
+    # over (-1,-1,-1) all 21 direction pairs give the form x^2 + y^2, and 3
+    # is no sum of two rational squares: one pass over the heights must do
+    calls = []
+    sqrt = alg.backend.sqrt
+    monkeypatch.setattr(alg.backend, "sqrt", lambda x: calls.append(x) or sqrt(x))
+    w = class_witness(alg, 3, 0)
+    assert w == alg.basis_element(1) + alg.basis_element(2) + alg.basis_element(3)
+    assert len(calls) < 5000
+
+
 def test_class_witness_float(alg_float):
     w = class_witness(alg_float, 2.0, 0.0)
     t, n = w.invariants()
