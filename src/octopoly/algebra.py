@@ -13,16 +13,18 @@ stored in the form of the algebra's scalar backend: in exact mode 8 ints
 over one positive denominator, read as reduced ``Fraction`` coordinates
 through ``Octonion.coords``; in float mode 8 floats.
 
-The 8x8 structure table is derived once per algebra by applying the doubling
-rule (recursively, down through the quaternion and complex levels) to basis
-pairs; nothing is hand-entered.  All values are immutable after construction,
+The 8x8 structure table is derived once per algebra from the doubling rule
+applied to basis indices: e_a*e_b = c*e_k is found by one recursion step per
+doubling parameter, each one of the four monomial cases p*r, (s*p)*l,
+(q*conj(r))*l and gamma*conj(s)*q, down through the quaternion and complex
+levels; nothing is hand-entered.  All values are immutable after construction,
 so everything here is safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConfigurationError, SingularElementError
 from .scalars import EXACT, ToleranceSpec, backend_for
@@ -31,32 +33,13 @@ DIVISION = "division"
 SPLIT = "split"
 
 
-def _cd_mul(x, y, params):
-    """Cayley-Dickson product of coordinate tuples; one recursion per doubling
-    parameter in ``params`` (applied outermost-last)."""
-    if not params:
-        return (x[0] * y[0],)
-    half = len(x) // 2
-    gamma, sub = params[-1], params[:-1]
-    p, q = x[:half], x[half:]
-    r, s = y[:half], y[half:]
-    sbar = (s[0],) + tuple(-c for c in s[1:])
-    rbar = (r[0],) + tuple(-c for c in r[1:])
-    first = tuple(
-        u + gamma * v for u, v in zip(_cd_mul(p, r, sub), _cd_mul(sbar, q, sub))
-    )
-    second = tuple(u + v for u, v in zip(_cd_mul(s, p, sub), _cd_mul(q, rbar, sub)))
-    return first + second
-
-
-@dataclass(frozen=True)
-class DivisionCheck:
+class DivisionCheck(namedtuple("DivisionCheck", "status witness", defaults=(None,))):
     """Outcome of the division-algebra test: the norm form is anisotropic
     (``division``) or isotropic (``split``); a split outcome carries an
-    explicit isotropic witness when the search found one, else None."""
+    explicit isotropic witness (an :class:`Octonion`) when the search found
+    one, else None."""
 
-    status: str
-    witness: "Octonion | None" = None
+    __slots__ = ()
 
 
 class OctonionAlgebra:
@@ -97,27 +80,26 @@ class OctonionAlgebra:
 
     def _build_table(self):
         params = (self.alpha, self.beta, self.gamma)
-        basis = [
-            tuple(self._one if t == k else self._zero for t in range(8))
-            for k in range(8)
-        ]
-        table = []
-        for a in range(8):
-            row = []
-            for b in range(8):
-                prod = _cd_mul(basis[a], basis[b], params)
-                nz = [(k, c) for k, c in enumerate(prod) if c != 0]
-                if len(nz) != 1:
-                    raise ConfigurationError(
-                        "basis product e%d*e%d is not a monomial" % (a, b)
-                    )
-                k, c = nz[0]
-                row.append((c, k))
-            table.append(tuple(row))
-        for k in range(1, 8):
-            if table[k][k][1] != 0:
-                raise ConfigurationError("basis square e%d^2 is not central" % k)
-        return tuple(table)
+
+        def product(a, b, level):
+            # (c, k) with e_a e_b = c e_k in the algebra doubled by
+            # params[:level]; an index >= half is e_(index - half) * l, and
+            # conj negates every unit except 1
+            if level == 0:
+                return self._one, 0
+            half = 1 << (level - 1)
+            if a < half and b < half:  # p r
+                return product(a, b, level - 1)
+            if a < half:  # (s p) l
+                c, k = product(b - half, a, level - 1)
+                return c, k + half
+            if b < half:  # (q rbar) l
+                c, k = product(a - half, b, level - 1)
+                return (-c if b else c), k + half
+            c, k = product(b - half, a - half, level - 1)  # gamma sbar q
+            return params[level - 1] * (-c if b - half else c), k
+
+        return tuple(tuple(product(a, b, 3) for b in range(8)) for a in range(8))
 
     def mult_table(self):
         """8x8 table with ``table[a][b] = (c, k)`` such that e_a*e_b = c*e_k."""

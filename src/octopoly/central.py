@@ -17,8 +17,7 @@ import cmath
 import itertools
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .errors import NumericFailureError
@@ -29,30 +28,29 @@ _ABERTH_MAX_ITER = 200
 _EPS = 2.0**-52  # twice the unit roundoff
 
 
-@dataclass(frozen=True)
-class ClassCandidate:
+class ClassCandidate(
+    namedtuple("ClassCandidate", "trace norm field_degree multiplicity")
+):
     """A (trace, norm) conjugacy-class candidate of the companion polynomial.
 
-    field_degree 1 means the underlying closure root lies in the base field
-    (trace^2 == 4*norm); field_degree 2 means z^2 - trace*z + norm is
-    irreducible (exact) / a conjugate complex pair (float).
+    field_degree (an int) 1 means the underlying closure root lies in the
+    base field (trace^2 == 4*norm); field_degree 2 means z^2 - trace*z + norm
+    is irreducible (exact) / a conjugate complex pair (float).  multiplicity
+    is an int.
     """
 
-    trace: object
-    norm: object
-    field_degree: int
-    multiplicity: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CentralRoots:
-    """Candidates plus bookkeeping: warnings and the degree of the part of the
-    polynomial whose roots generate extensions of degree > 2 (those can never
-    embed into the algebra and are discarded)."""
+class CentralRoots(
+    namedtuple("CentralRoots", "candidates warnings discarded_degree", defaults=((), 0))
+):
+    """Candidates (a tuple of :class:`ClassCandidate`) plus bookkeeping: a
+    tuple of warnings and the degree (an int) of the part of the polynomial
+    whose roots generate extensions of degree > 2 (those can never embed
+    into the algebra and are discarded)."""
 
-    candidates: tuple
-    warnings: tuple = ()
-    discarded_degree: int = 0
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +114,18 @@ def _powmod(a, e, f, p):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactFactorization:
-    """Monic linear/quadratic rational factors with multiplicities plus the
-    exact remainder, which has no rational factor of degree <= 2;
-    multiplying everything back reproduces the input coefficientwise.
-    ``truncated`` is always False because the search is complete; the field
-    stays because the benchmark's ``central.truncated`` counter reads it."""
+class ExactFactorization(
+    namedtuple("ExactFactorization", "factors remainder truncated", defaults=(False,))
+):
+    """Monic linear/quadratic rational factors with multiplicities, as
+    ``factors = ((CentralPolynomial, multiplicity), ...)``, plus the exact
+    ``remainder`` (a :class:`CentralPolynomial`), which has no rational
+    factor of degree <= 2; multiplying everything back reproduces the input
+    coefficientwise.  ``truncated`` is always False because the search is
+    complete; the field stays because the benchmark's ``central.truncated``
+    counter reads it."""
 
-    factors: tuple  # ((CentralPolynomial, multiplicity), ...)
-    remainder: CentralPolynomial
-    truncated: bool = False
+    __slots__ = ()
 
 
 def _split(g, d, p, rng):

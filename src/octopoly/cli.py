@@ -44,6 +44,7 @@ def _build_parser():
         "polynomials over octonion division algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = ToleranceSpec()
 
     def common(p):
         p.add_argument("--alpha", default="-1", help="i^2 (rational, default -1)")
@@ -52,8 +53,8 @@ def _build_parser():
         p.add_argument(
             "--mode", choices=[EXACT, FLOAT], default=EXACT, help="scalar backend"
         )
-        p.add_argument("--abs-eps", type=float, default=ToleranceSpec.abs_eps)
-        p.add_argument("--rel-eps", type=float, default=ToleranceSpec.rel_eps)
+        p.add_argument("--abs-eps", type=float, default=tol.abs_eps)
+        p.add_argument("--rel-eps", type=float, default=tol.rel_eps)
         p.add_argument("--poly", required=True, help="polynomial literal, e.g. 'i*z^2 + j*z + l'")
         style = p.add_mutually_exclusive_group()
         style.add_argument("--json", action="store_true", help="compact JSON (default)")

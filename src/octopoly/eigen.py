@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Octonion
 from .central import central_roots
@@ -31,13 +31,12 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """n x n octonion matrix: rows 0..n-2 carry a shifted identity, the last
-    row carries the negated coefficients."""
+class CompanionMatrix(namedtuple("CompanionMatrix", "entries degree")):
+    """n x n octonion matrix, ``entries`` a tuple of row tuples of Octonions
+    and ``degree`` the int n: rows 0..n-2 carry a shifted identity, the last
+    row carries the negated coefficients.  ``m[r, c]`` is an entry."""
 
-    entries: tuple  # tuple of row tuples of Octonions
-    degree: int
+    __slots__ = ()
 
     def __getitem__(self, rc):
         r, c = rc
@@ -60,15 +59,15 @@ def companion_matrix(phi: StandardPolynomial) -> CompanionMatrix:
     return CompanionMatrix(tuple(rows), n)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    """Outcome of an eigenvalue membership test.  When ``member`` is true,
-    ``kernel_element`` is a nonzero first eigenvector component and
-    ``eigenvector`` the full reconstructed eigenvector."""
+class MembershipReport(
+    namedtuple("MembershipReport", "member kernel_element eigenvector", defaults=(None, None))
+):
+    """Outcome of an eigenvalue membership test.  When the bool ``member``
+    is true, ``kernel_element`` is a nonzero first eigenvector component (an
+    :class:`Octonion`) and ``eigenvector`` the full reconstructed
+    eigenvector (a tuple of Octonions); both are None otherwise."""
 
-    member: bool
-    kernel_element: Octonion | None = None
-    eigenvector: tuple | None = None
+    __slots__ = ()
 
 
 def _membership(phi, lam, side):

@@ -9,7 +9,7 @@ z^2 = T z - N to a linear form E z + G, and produces both twist families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Octonion, OctonionAlgebra
 from .scalars import EXACT
@@ -165,14 +165,11 @@ def eg_coeffs(norm, trace, i):
     return next(itertools.islice(eg_sequence(norm, trace, zero, zero + 1), i, None))
 
 
-@dataclass(frozen=True)
-class ReducedLinearForm:
-    """phi reduced on the class z^2 = trace*z - norm: phi(z) = E z + G there."""
+class ReducedLinearForm(namedtuple("ReducedLinearForm", "E G norm trace")):
+    """phi reduced on the class z^2 = trace*z - norm: phi(z) = E z + G there,
+    with E and G Octonions and norm and trace scalars."""
 
-    E: Octonion
-    G: Octonion
-    norm: object
-    trace: object
+    __slots__ = ()
 
 
 def reduce_to_linear(phi: StandardPolynomial, norm, trace) -> ReducedLinearForm:

@@ -18,7 +18,7 @@ computes a scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -29,24 +29,29 @@ FLOAT = "float"
 MODES = (EXACT, FLOAT)
 
 
-@dataclass(frozen=True)
-class ToleranceSpec:
+class ToleranceSpec(namedtuple("ToleranceSpec", "abs_eps rel_eps", defaults=(1e-10, 1e-9))):
     """Zero policy for the float backend.
 
     A float ``x`` is "zero at scale s" iff ``|x| <= abs_eps + rel_eps * |s|``.
-    Both fields must be finite and nonnegative.
+    Both fields (floats, default 1e-10 and 1e-9) must be finite and
+    nonnegative.
     """
 
-    abs_eps: float = 1e-10
-    rel_eps: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("abs_eps", "rel_eps"):
-            value = getattr(self, name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigurationError(
                     "%s must be finite and >= 0, got %r" % (name, value)
                 )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``; validate there too
+        return cls(*iterable)
 
     def is_zero(self, x, scale=1.0):
         return abs(x) <= self.abs_eps + self.rel_eps * abs(scale)
@@ -219,10 +224,18 @@ class Float(_Backend):
     A vector is a tuple of 8 floats."""
 
     def coerce(self, value):
-        """Anything float() accepts, plus 'p/q' strings."""
-        if isinstance(value, str):
-            return float(Fraction(value))
-        return float(value)
+        """Anything float() accepts, plus 'p/q' strings, whose value is a
+        finite float64."""
+        try:
+            x = float(Fraction(value)) if isinstance(value, str) else float(value)
+        except OverflowError:  # a rational too large for float64
+            x = math.inf
+        if not math.isfinite(x):
+            text = str(value)
+            if len(text) > 40:
+                text = text[:37] + "..."
+            raise ConfigurationError("scalar %s is not a finite float64" % text)
+        return x
 
     def format(self, x):
         """17 significant digits, enough to round-trip a float64."""

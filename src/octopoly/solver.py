@@ -10,14 +10,13 @@ witness is re-verified by substitution before it enters the report.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import SPLIT, Octonion, OctonionAlgebra
 from .central import ClassCandidate, central_roots
 from .errors import SingularElementError, UnsupportedAlgebraError
 from .polynomials import (
-    CentralPolynomial,
     StandardPolynomial,
     companion,
     eg_sequence,
@@ -34,36 +33,33 @@ UNDETERMINED = "undetermined"
 _WITNESS_HEIGHT = 50
 
 
-@dataclass(frozen=True)
-class ClassResolution:
+class ClassResolution(
+    namedtuple("ClassResolution", "status root witness reason", defaults=(None,) * 3)
+):
     """How one (trace, norm) candidate meets the root set.
 
-    ``root`` is set for single_root, ``witness`` for full_class (a verified
-    member of the class), ``reason`` for undetermined.
+    ``root`` (an :class:`Octonion`) is set for single_root, ``witness`` for
+    full_class (a verified member of the class), ``reason`` (a str) for
+    undetermined; each is None otherwise.
     """
 
-    status: str
-    root: Octonion | None = None
-    witness: Octonion | None = None
-    reason: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(
+    namedtuple(
+        "RootReport",
+        "algebra polynomial companion classes roots full_classes mode tolerance warnings",
+    )
+):
     """Everything solve() found: the algebra and polynomial, the companion
-    polynomial, one resolution per class candidate, the flattened single
-    roots and full-class descriptors, and any warnings.  The report is the
-    complete root set whenever no resolution is undetermined."""
+    polynomial, one resolution per class candidate as ``classes =
+    ((ClassCandidate, ClassResolution), ...)``, the verified single roots in
+    class order, one ``(trace, norm, witness)`` per fully-rooted class, the
+    mode, the tolerance and any warnings.  The report is the complete root
+    set whenever no resolution is undetermined."""
 
-    algebra: OctonionAlgebra
-    polynomial: StandardPolynomial
-    companion: CentralPolynomial
-    classes: tuple  # ((ClassCandidate, ClassResolution), ...)
-    roots: tuple  # verified single roots, in class order
-    full_classes: tuple  # (trace, norm, witness) per fully-rooted class
-    mode: str
-    tolerance: object
-    warnings: tuple
+    __slots__ = ()
 
 
 def verify_root(phi: StandardPolynomial, lam: Octonion) -> bool:

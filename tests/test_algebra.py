@@ -22,12 +22,36 @@ from conftest import rand_invertible, rand_octonion
 from oracle import oct_mul as oracle_mul
 
 
-def test_table_basis_products(alg):
-    t = alg.mult_table()
+RATIONAL_PARAMS = (Fraction(-1, 2), -3, Fraction(-5, 7))
+
+
+@pytest.mark.parametrize("params", [(-1, -1, -1), (2, 3, 5), (-2, -3, -5), RATIONAL_PARAMS])
+def test_table_basis_products(params):
+    A = OctonionAlgebra(*params)
+    t = A.mult_table()
     assert t[1][2] == (1, 3)  # i*j = ij
-    assert t[1][5] == (alg.alpha, 4)  # i*(il) = alpha*l
-    assert t[5][6] == (alg.gamma, 3)  # (il)(jl) = gamma*ij
+    assert t[1][5] == (A.alpha, 4)  # i*(il) = alpha*l
+    assert t[5][6] == (A.gamma, 3)  # (il)(jl) = gamma*ij
     assert t[0][7] == (1, 7)
+    units = [tuple(Fraction(int(i == k)) for i in range(8)) for k in range(8)]
+    for a in range(8):
+        for b in range(8):
+            c, k = t[a][b]
+            expected = oracle_mul(units[a], units[b], A.alpha, A.beta, A.gamma)
+            assert type(c) is Fraction
+            assert tuple(c if i == k else 0 for i in range(8)) == expected
+
+
+@pytest.mark.parametrize(
+    "params",
+    [(-1, -1, -1), (2, 3, 5), (Fraction(-1, 2), -3, Fraction(-5, 4)), (Fraction(3, 8), Fraction(-7, 16), 6)],
+)
+def test_float_table_is_the_exact_table_rounded(params):
+    # dyadic parameters: every structure constant is a float64 exactly
+    exact = OctonionAlgebra(*params).mult_table()
+    table = OctonionAlgebra(*params, mode="float").mult_table()
+    assert all(type(c) is float for row in table for c, _ in row)
+    assert table == tuple(tuple((float(c), k) for c, k in row) for row in exact)
 
 
 def test_table_generic_params(alg_generic):
@@ -35,9 +59,6 @@ def test_table_generic_params(alg_generic):
     assert t[1][5] == (Fraction(-2), 4)
     assert t[5][6] == (Fraction(-5), 3)
     assert t[1][1] == (Fraction(-2), 0)
-
-
-RATIONAL_PARAMS = (Fraction(-1, 2), -3, Fraction(-5, 7))
 
 
 @pytest.mark.parametrize("max_den", [3, 10**6])
@@ -275,3 +296,7 @@ def test_bad_parameters():
         OctonionAlgebra(0, -1, -1)
     with pytest.raises(TypeError):
         OctonionAlgebra(-1.5, -1, -1)  # float into exact mode
+    # a value outside float64 (the rational overflows, the float is inf)
+    for alpha in ("-1e400", Fraction(-(10**400)), float("-inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match="not a finite float64"):
+            OctonionAlgebra(alpha, "-1", "-1", mode="float")

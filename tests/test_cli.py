@@ -1,6 +1,10 @@
 """Literal parsing, formatting round-trips, and the CLI surface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -221,6 +225,43 @@ def test_cli_configuration_errors_exit_2(capsys):
     assert main(["solve", "--alpha", "0", "--poly", "z^2 + 1"]) == 2
     assert main(["solve", "--mode", "float", "--abs-eps", "-1", "--poly", "z^2 + 1"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--alpha", "1e400", "--poly", "z + 1"], ["--poly", "z + " + "9" * 400]],
+    ids=["parameter", "coefficient"],
+)
+def test_cli_float_overflow_exits_2(argv, capsys):
+    # a rational too large for float64 is a configuration error, one line
+    assert main(["solve", "--mode", "float"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not a finite float64" in captured.err
+
+
+def test_cli_default_tolerance_in_float_json(capsys):
+    assert main(["solve", "--mode", "float", "--poly", "z + 1"]) == 0
+    out = capsys.readouterr().out
+    assert '"abs_eps": 1e-10, "rel_eps": 1e-09' in out
+
+
+def test_cli_import_skips_dataclasses():
+    # start-up cost: dataclasses and the modules it pulls in (inspect, ast,
+    # dis, tokenize) take about a third of the CLI's import time
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = "import sys, octopoly.cli; print(*[m for m in %r if m in sys.modules])" % (heavy,)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
 
 
 def test_cli_float_mode(capsys):
