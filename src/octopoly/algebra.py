@@ -17,8 +17,10 @@ The 8x8 structure table is derived once per algebra from the doubling rule
 applied to basis indices: e_a*e_b = c*e_k is found by one recursion step per
 doubling parameter, each one of the four monomial cases p*r, (s*p)*l,
 (q*conj(r))*l and gamma*conj(s)*q, down through the quaternion and complex
-levels; nothing is hand-entered.  All values are immutable after construction,
-so everything here is safe for unrestricted concurrent use.
+levels; nothing is hand-entered.  The backend compiles the product from
+that table, and the norm from the inner form on the table's diagonal.  All
+values are immutable after construction, so everything here is safe for
+unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class OctonionAlgebra:
             -self._table[k][k][0] for k in range(1, 8)
         )
         self._mul = self.backend.multiplier(self._table)
-        self._norm = self.backend.norm_form(self.norm_coeffs)
+        # the polar form <x,y> of the norm form: N(x) = <x,x>, Tr(conj(x) y) = 2<x,y>
+        self._inner = self.backend.inner_form(self.norm_coeffs)
         self._basis = tuple(
             self.octonion([self._one if t == k else self._zero for t in range(8)])
             for k in range(8)
@@ -289,8 +292,8 @@ class Octonion:
         return self.algebra.backend.trace(self.vec)
 
     def norm(self):
-        """Value of the diagonal norm form; equals (conj(x) * x)_0."""
-        return self.algebra._norm(self.vec)
+        """Value of the diagonal norm form, <x,x>; equals (conj(x) * x)_0."""
+        return self.algebra._inner(self.vec, self.vec)
 
     def invariants(self):
         """The central pair (trace, norm); conjugation-invariant."""
@@ -324,11 +327,10 @@ class Octonion:
 
 
 def bilinear_form(x, y):
-    """Polarization of the norm form: <x,y> = N(x+y) - N(x) - N(y)."""
+    """Polarization of the norm form: <x,y> = Tr(conj(x) y) = N(x+y) - N(x) -
+    N(y), which is 2 sum_k q_k x_k y_k on the stored vectors."""
     x.algebra.check_same(y.algebra)
-    return sum(
-        2 * q * a * b for q, a, b in zip(x.algebra.norm_coeffs, x.coords, y.coords)
-    )
+    return 2 * x.algebra._inner(x.vec, y.vec)
 
 
 def same_class(x, y):

@@ -362,10 +362,10 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
         scale, res = _scale(b, r), residuals[i]
         bound = tol.abs_eps + tol.rel_eps * scale
         if not res <= bound:
-            raise NumericFailureError(
-                "root finder residual %.3e exceeds bound %.3e" % (res, bound),
-                residuals=sorted(residuals, reverse=True),
-            )
+            why = "root finder residual %.3e exceeds bound %.3e" % (res, bound)
+            if not math.isfinite(res + bound):  # a root beyond float64 range
+                why = "float64 overflow: the polynomial is not finite at a root approximation"
+            raise NumericFailureError(why, residuals=sorted(residuals, reverse=True))
         prod = b[n] * math.prod(r - w for j, w in enumerate(z) if j != i)
         radii.append(n * (res + len(b) * _EPS * scale) / abs(prod) if prod else 0.0)
 

@@ -148,7 +148,9 @@ def rev_classes(phi: StandardPolynomial):
     the union of these classes."""
     if not phi.is_monic():
         raise ValueError("rev_classes requires a monic polynomial")
-    found = central_roots(companion(phi), tol=phi.algebra.tol)
+    Phi = companion(phi)
+    phi.algebra.backend.check_companion(Phi, phi.degree)
+    found = central_roots(Phi, tol=phi.algebra.tol)
     return [
         cand
         for cand in found.candidates

@@ -18,8 +18,10 @@ class UnsupportedAlgebraError(OctopolyError):
 
 
 class NumericFailureError(OctopolyError):
-    """The float root finder failed its residual certificate, or a root
-    cluster and its mirror below the real axis differ in size."""
+    """The float root finder failed its residual certificate, a root
+    cluster and its mirror below the real axis differ in size, or a float
+    companion coefficient, class invariant or combination scalar left the
+    float64 range (overflow, or a leading norm underflowed to 0)."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)

@@ -130,18 +130,21 @@ def companion(phi: StandardPolynomial) -> CentralPolynomial:
     """The degree-2n central companion polynomial of phi.
 
     b_k sums Tr(conj(c_i) c_j) over i < j with i + j = k, plus Norm(c_m)
-    when k = 2m.  Every root of phi is a root of the result.
+    when k = 2m.  Every root of phi is a root of the result.  Both come
+    from the polar form of the norm: Norm(c) = <c,c> and
+    Tr(conj(c_i) c_j) = 2<c_i,c_j>, so no octonion product is formed.
     """
     n = phi.degree
-    zero = phi.algebra._zero
-    b = [zero] * (2 * n + 1)
-    for i in range(n + 1):
-        ci = phi.coeffs[i]
-        b[2 * i] = b[2 * i] + ci.norm()
-        ci_bar = ci.conj()
+    alg = phi.algebra
+    inner = alg._inner
+    vecs = [c.vec for c in phi.coeffs]
+    b = [alg._zero] * (2 * n + 1)
+    for i, ci in enumerate(vecs):
+        b[2 * i] = b[2 * i] + inner(ci, ci)
         for j in range(i + 1, n + 1):
-            b[i + j] = b[i + j] + (ci_bar * phi.coeffs[j]).trace()
-    return CentralPolynomial(b, phi.algebra.mode)
+            t = inner(ci, vecs[j])
+            b[i + j] = b[i + j] + (t + t)
+    return CentralPolynomial(b, alg.mode)
 
 
 def eg_sequence(norm, trace, zero, one):
@@ -174,15 +177,16 @@ class ReducedLinearForm(namedtuple("ReducedLinearForm", "E G norm trace")):
 
 def reduce_to_linear(phi: StandardPolynomial, norm, trace) -> ReducedLinearForm:
     """E = sum c_i e_i(N,T), G = sum c_i g_i(N,T); for every lam with
-    invariants (T, N), eval_at(phi, lam) == E*lam + G."""
+    invariants (T, N), eval_at(phi, lam) == E*lam + G.  Each sum is one
+    backend combination of the coefficient vectors."""
     alg = phi.algebra
     norm = alg.scalar(norm)
     trace = alg.scalar(trace)
-    E = alg.zero
-    G = alg.zero
-    for c, (e, g) in zip(phi.coeffs, eg_sequence(norm, trace, alg._zero, alg._one)):
-        E = E + c * e
-        G = G + c * g
+    eg = eg_sequence(norm, trace, alg._zero, alg._one)
+    es, gs = zip(*itertools.islice(eg, len(phi.coeffs)))
+    vecs = [c.vec for c in phi.coeffs]
+    E = Octonion(alg, alg.backend.combine(vecs, es))
+    G = Octonion(alg, alg.backend.combine(vecs, gs))
     return ReducedLinearForm(E=E, G=G, norm=norm, trace=trace)
 
 

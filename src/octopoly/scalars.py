@@ -2,10 +2,11 @@
 
 An algebra holds one backend, which owns every choice that depends on the
 scalars: coercion and text form, zero tests, square roots, the nullspace
-routine, the class candidates of a companion polynomial, and the storage of
-octonion coordinate vectors with their arithmetic (sum, difference,
-negation, scaling, conjugation, norm, trace and the product over the
-structure table).  Exact mode stores a vector as 8 ints over one positive
+routine, the class candidates of a companion polynomial (and, in float
+mode, the check that float64 kept it), and the storage of octonion
+coordinate vectors with their arithmetic (sum, difference, negation,
+scaling, conjugation, trace, the inner form, linear combinations and the
+product).  Exact mode stores a vector as 8 ints over one positive
 denominator, kept canonical (gcd(den, n_0..n_7) = 1, zero over 1), so a
 product or sum costs one gcd instead of one per coordinate operation; its
 coordinates are exposed as reduced ``fractions.Fraction`` and every decision
@@ -13,16 +14,26 @@ is exact.  Float mode stores a tuple of 8 ``float`` and routes every zero
 decision through one :class:`ToleranceSpec`.  A zero test takes its scale
 as a function that only the float backend calls, so the exact path never
 computes a scale.
+
+Three kernels are written out straight-line.  ``multiplier`` compiles the
+product from the algebra's structure table once, one sum per output
+coordinate with its terms in the table's (a, b) order.  ``inner_form`` is
+the polar form <u,v> = sum_k q_k u_k v_k of the diagonal norm form, so
+Norm(x) = <x,x> and Tr(conj(x) y) = 2<x,y> need no product.  ``combine``
+forms sum_i s_i v_i in one pass, with one reduction in exact mode.  Float
+sums start at 0.0 and run in a fixed order (never ``sum()``, whose
+rounding changed in Python 3.12).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericFailureError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -57,16 +68,32 @@ class ToleranceSpec(namedtuple("ToleranceSpec", "abs_eps rel_eps", defaults=(1e-
         return abs(x) <= self.abs_eps + self.rel_eps * abs(scale)
 
 
-def _table_product(rows, xs, ys, zero):
-    """Coordinates of x*y from a structure table ``rows[a][b] = (c, k)``
-    (e_a e_b = c e_k); zero coordinates of either operand are skipped."""
-    out = [zero] * 8
-    for xa, row in zip(xs, rows):
-        if xa:
-            for yb, (c, k) in zip(ys, row):
-                if yb:
-                    out[k] += c * xa * yb
-    return out
+def _compiled_product(rows, start):
+    """The coordinates of x*y under the structure table ``rows[a][b] =
+    (c, k)`` (e_a e_b = c e_k), as a function of the two coordinate tuples,
+    compiled from straight-line source.
+
+    Coordinate k is the sum ``start`` (source text, maybe empty) plus its
+    terms in the table's (a, b) order: a coefficient of +-1 as a plain
+    ``+``/``-`` and any other c as ``|c|*xa*yb``, i.e. (|c|*xa)*yb, with
+    |c| embedded by ``repr``.  A float sum from 0.0 thus rounds exactly as
+    adding c*xa*yb term by term in that order.
+    """
+    sums = [start] * 8
+    for a, row in enumerate(rows):
+        for b, (c, k) in enumerate(row):
+            term = "x%d*y%d" % (a, b) if abs(c) == 1 else "%r*x%d*y%d" % (abs(c), a, b)
+            if sums[k]:
+                sums[k] += (" - " if c < 0 else " + ") + term
+            else:
+                sums[k] = "-" + term if c < 0 else term
+    x, y = (", ".join("%s%d" % (v, k) for k in range(8)) for v in "xy")
+    source = "def product(xs, ys):\n    %s = xs\n    %s = ys\n    return (%s)\n" % (
+        x, y, ", ".join(sums)
+    )
+    namespace = {"inf": math.inf}  # repr of an overflowed float constant
+    exec(compile(source, "<octonion product>", "exec"), namespace)
+    return namespace["product"]
 
 
 def over_common_denominator(values):
@@ -99,6 +126,10 @@ class _Backend:
     def sub(self, x, y):
         """x - y of two vectors (x + (-y) is exact in both backends)."""
         return self.add(x, self.neg(y))
+
+    def check_companion(self, Phi, n):
+        """Accept the companion polynomial Phi of a degree-n polynomial over a
+        division algebra; exact coefficients cannot go out of range."""
 
 
 class Exact(_Backend):
@@ -193,29 +224,41 @@ class Exact(_Backend):
     def trace(self, v):
         return Fraction(2 * v[0][0], v[1])
 
-    def norm_form(self, coeffs):
-        """The diagonal form sum_k coeffs[k] x_k^2 as a function of a vector;
-        the coefficients are held as ints over one denominator."""
+    def inner_form(self, coeffs):
+        """The diagonal form <u,v> = sum_k coeffs[k] u_k v_k as a function of
+        two vectors; the coefficients are held as ints over one denominator."""
         qs, qden = over_common_denominator(coeffs)
 
-        def norm(v):
-            nums, den = v
-            return Fraction(sum([q * n * n for q, n in zip(qs, nums)]), qden * den * den)
+        def inner(u, v):
+            (un, ud), (vn, vd) = u, v
+            total = sum(map(operator.mul, map(operator.mul, qs, un), vn))
+            return Fraction(total, qden * ud * vd)
 
-        return norm
+        return inner
 
     def multiplier(self, table):
         """The product of two vectors under ``table[a][b] = (c, k)``; the
         coefficients c are held as ints over one denominator, so rational
         algebra parameters cost nothing beyond the one gcd per product."""
         tden = math.lcm(*(c.denominator for row in table for c, _ in row))
-        rows = tuple(tuple((int(c * tden), k) for c, k in row) for row in table)
+        product = _compiled_product(
+            [[(int(c * tden), k) for c, k in row] for row in table], ""
+        )
 
         def mul(x, y):
             (xn, xd), (yn, yd) = x, y
-            return _reduced(_table_product(rows, xn, yn, 0), xd * yd * tden)
+            return _reduced(product(xn, yn), xd * yd * tden)
 
         return mul
+
+    def combine(self, vecs, scalars):
+        """sum_i scalars[i] * vecs[i] with one reduction: the scalars over one
+        denominator, the vectors over the lcm of theirs."""
+        ps, sden = over_common_denominator(scalars)
+        vden = math.lcm(*(d for _, d in vecs))
+        terms = [(p * (vden // d), nums) for p, (nums, d) in zip(ps, vecs) if p]
+        sums = [sum([m * nums[k] for m, nums in terms]) for k in range(8)]
+        return _reduced(sums, sden * vden)
 
 
 class Float(_Backend):
@@ -252,10 +295,33 @@ class Float(_Backend):
         """Kernel vector of the matrix whose columns are the given vectors."""
         return linalg.float_nullspace_vector(list(zip(*columns)), self.tol)
 
+    def check_companion(self, Phi, n):
+        """Raise NumericFailureError when float64 lost the companion
+        polynomial Phi of a degree-n polynomial over a division algebra: a
+        coefficient overflowed, or Norm(c_n) > 0 underflowed to 0 so that
+        Phi has degree below 2n."""
+        for k, b in enumerate(Phi.coeffs):
+            if not math.isfinite(b):
+                raise NumericFailureError(
+                    "float64 overflow: companion coefficient b_%d is %r" % (k, b)
+                )
+        if Phi.degree < 2 * n:
+            raise NumericFailureError(
+                "float64 underflow: the norm of the leading coefficient is 0, "
+                "so the companion polynomial has degree %d < %d" % (Phi.degree, 2 * n)
+            )
+
     def class_candidates(self, Phi):
         from . import central  # central imports this module through algebra
 
-        return central.CentralRoots(tuple(central.float_candidates(Phi, self.tol)))
+        cands = tuple(central.float_candidates(Phi, self.tol))
+        for c in cands:
+            if not (math.isfinite(c.trace) and math.isfinite(c.norm)):
+                raise NumericFailureError(
+                    "float64 overflow: class invariants trace=%r, norm=%r"
+                    % (c.trace, c.norm)
+                )
+        return central.CentralRoots(cands)
 
     # -- vectors -----------------------------------------------------------
 
@@ -286,17 +352,34 @@ class Float(_Backend):
     def trace(self, v):
         return v[0] + v[0]
 
-    def norm_form(self, coeffs):
-        def norm(v):
-            return sum(q * c * c for q, c in zip(coeffs, v))
+    def inner_form(self, coeffs):
+        """<u,v> = sum_k coeffs[k] u_k v_k, summed from 0.0 as (q*u_k)*v_k in
+        k order (the order of coordinate 0 of the product conj(u) v)."""
 
-        return norm
+        def inner(u, v):
+            t = 0.0
+            for q, a, b in zip(coeffs, u, v):
+                t += q * a * b
+            return t
+
+        return inner
 
     def multiplier(self, table):
-        def mul(x, y):
-            return tuple(_table_product(table, x, y, 0.0))
+        """The product of two vectors under ``table[a][b] = (c, k)``, each
+        coordinate summed from 0.0 in (a, b) order."""
+        return _compiled_product(table, "0.0")
 
-        return mul
+    def combine(self, vecs, scalars):
+        """sum_i scalars[i] * vecs[i], each coordinate summed from 0.0 in i
+        order; a scalar that is not finite raises NumericFailureError."""
+        if not all(map(math.isfinite, scalars)):
+            raise NumericFailureError(
+                "float64 overflow: a combination scalar is not finite"
+            )
+        out = [0.0] * 8
+        for v, s in zip(vecs, scalars):
+            out = [o + a * s for o, a in zip(out, v)]
+        return tuple(out)
 
 
 def backend_for(mode, tol=None):

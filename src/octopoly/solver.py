@@ -232,6 +232,7 @@ def solve(phi: StandardPolynomial) -> RootReport:
             "division algebras" % why
         )
     Phi = companion(phi)
+    alg.backend.check_companion(Phi, phi.degree)
     found = central_roots(Phi, tol=alg.tol)
     warnings = list(found.warnings)
     if found.discarded_degree:

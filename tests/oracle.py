@@ -47,6 +47,20 @@ def oct_norm(x, alpha, beta, gamma):
     return value[0]
 
 
+def loop_product(table, xs, ys):
+    """Float product by the interpreted loop over a structure table
+    ``table[a][b] = (c, k)``: zero coordinates skipped, each coordinate
+    summed from 0.0 in (a, b) order.  The reference summation order of the
+    package's float product."""
+    out = [0.0] * 8
+    for xa, row in zip(xs, table):
+        if xa:
+            for yb, (c, k) in zip(ys, row):
+                if yb:
+                    out[k] += c * xa * yb
+    return tuple(out)
+
+
 def rand_coords(rng, lo=-9, hi=9, max_den=1):
     return tuple(
         Fraction(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(8)

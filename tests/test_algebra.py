@@ -19,7 +19,7 @@ from octopoly import (
     same_class,
 )
 from conftest import rand_invertible, rand_octonion
-from oracle import oct_mul as oracle_mul
+from oracle import loop_product, oct_mul as oracle_mul
 
 
 RATIONAL_PARAMS = (Fraction(-1, 2), -3, Fraction(-5, 7))
@@ -70,6 +70,24 @@ def test_mul_agrees_with_oracle(rng, max_den):
             y = rand_octonion(rng, A, max_den=max_den)
             expected = oracle_mul(x.coords, y.coords, A.alpha, A.beta, A.gamma)
             assert (x * y).coords == expected
+
+
+def _float_coords(rng):
+    # wide magnitudes, and some coordinates +0.0 or -0.0
+    return [
+        rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.uniform(-9, 9) * 10.0 ** rng.randint(-6, 6)
+        for _ in range(8)
+    ]
+
+
+@pytest.mark.parametrize("params", [(-1, -1, -1), (2, 3, 5), (-2, -3, -5), RATIONAL_PARAMS])
+def test_float_product_is_bitwise_the_loop(params, rng):
+    A = OctonionAlgebra(*(str(p) for p in params), mode="float")
+    table = A.mult_table()
+    for _ in range(300):
+        x, y = _float_coords(rng), _float_coords(rng)
+        got = (A.octonion(x) * A.octonion(y)).coords
+        assert [c.hex() for c in got] == [c.hex() for c in loop_product(table, x, y)]
 
 
 @pytest.mark.parametrize("params", [(-2, -3, -5), RATIONAL_PARAMS])
@@ -125,7 +143,10 @@ def test_bilinear_form(alg, rng):
     assert bilinear_form(i, i) == -2 * alg.alpha
     for _ in range(50):
         x = rand_octonion(rng, alg, max_den=2)
+        y = rand_octonion(rng, alg, max_den=3)
         assert bilinear_form(one, x) == x.trace()
+        assert bilinear_form(x, y) == (x.conj() * y).trace()
+        assert bilinear_form(x, y) == (x + y).norm() - x.norm() - y.norm()
 
 
 def test_inverse(alg):

@@ -356,6 +356,19 @@ def test_numeric_roots_residual_bound(rng):
             assert abs(val) <= bound
 
 
+def test_float_class_invariants_must_be_finite(monkeypatch):
+    # no input was found whose roots pass the residual certificate while
+    # their norm overflows, so the candidate is planted
+    from octopoly import central
+    from octopoly.central import ClassCandidate
+
+    monkeypatch.setattr(
+        central, "float_candidates", lambda Phi, tol: [ClassCandidate(1e200, float("inf"), 2, 1)]
+    )
+    with pytest.raises(NumericFailureError, match="float64 overflow: class invariants"):
+        central_roots(CentralPolynomial([1.0, 0.0, 1.0], "float"))
+
+
 def test_numeric_roots_conjugate_symmetry(rng):
     for _ in range(10):
         coeffs = [rng.uniform(-3, 3) for _ in range(6)] + [1.0]

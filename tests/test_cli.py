@@ -241,6 +241,26 @@ def test_cli_float_overflow_exits_2(argv, capsys):
     assert "not a finite float64" in captured.err
 
 
+@pytest.mark.parametrize(
+    "poly, what",
+    [
+        ("1e-300*z + 1", "underflow"),
+        ("z^2 + 1e300", "overflow"),
+        ("z^2 + 1e160*z + 1", "overflow"),
+        ("1e-170*z^2 + 1", "underflow"),
+        ("1e-160*z + 1", "overflow"),
+    ],
+)
+def test_cli_float_range_loss_exits_4(poly, what, capsys):
+    # a companion coefficient or class invariant outside float64, or a
+    # leading norm that underflows to 0, is a numeric failure named as such
+    assert main(["solve", "--mode", "float", "--poly", poly]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: float64 %s" % what)
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_default_tolerance_in_float_json(capsys):
     assert main(["solve", "--mode", "float", "--poly", "z + 1"]) == 0
     out = capsys.readouterr().out

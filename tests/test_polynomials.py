@@ -7,6 +7,8 @@ import pytest
 
 from octopoly import (
     CentralPolynomial,
+    NumericFailureError,
+    OctonionAlgebra,
     StandardPolynomial,
     companion,
     eg_coeffs,
@@ -17,6 +19,7 @@ from octopoly import (
     twist_two_sided,
 )
 from conftest import rand_invertible, rand_octonion
+from oracle import loop_product, oct_conj, oct_mul, oct_norm
 
 
 @pytest.fixture()
@@ -55,6 +58,72 @@ def test_companion_golden(alg, phi3, psi):
 def test_companion_degree_zero(alg):
     c = StandardPolynomial(alg, [alg.parse("1 + 2*i")])
     assert companion(c) == CentralPolynomial([Fraction(5)])
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("params", [(-1, -1, -1), (-2, -3, -5), (Fraction(-1, 2), -3, Fraction(-5, 4))])
+def test_companion_matches_oracle_traces(mode, params, rng):
+    # b_k = sum over i < j, i + j = k of Tr(conj(c_i) c_j), plus Norm(c_m) at
+    # k = 2m, all by the oracle's product; dyadic coordinates and parameters
+    # keep every float sum exact, so both modes must agree exactly
+    A = OctonionAlgebra(*(str(p) for p in params), mode=mode)
+    scalar = Fraction if mode == "exact" else float
+    for _ in range(30):
+        deg = rng.randint(1, 5)
+        cs = [tuple(Fraction(rng.randint(-24, 24), 8) for _ in range(8)) for _ in range(deg + 1)]
+        if not any(cs[-1]):
+            continue
+        b = [Fraction(0)] * (2 * deg + 1)
+        for i, ci in enumerate(cs):
+            b[2 * i] += oct_norm(ci, *params)
+            for j in range(i + 1, deg + 1):
+                b[i + j] += 2 * oct_mul(oct_conj(ci), cs[j], *params)[0]
+        phi = StandardPolynomial(A, [A.octonion([scalar(x) for x in c]) for c in cs])
+        assert companion(phi).coeffs == tuple(scalar(x) for x in b)
+
+
+@pytest.mark.parametrize("params", [(-1, -1, -1), (-2, -3, -5)])
+def test_float_companion_is_bitwise_the_product_traces(params, rng):
+    # the polar form reproduces the float companion built from products:
+    # Norm(c) = (conj(c) c)_0, and Tr(conj(c_i) c_j) = t + t, t = (conj(c_i) c_j)_0
+    A = OctonionAlgebra(*params, mode="float")
+    table = A.mult_table()
+    for _ in range(50):
+        deg = rng.randint(1, 5)
+        cs = [rand_octonion(rng, A) for _ in range(deg + 1)]
+        b = [0.0] * (2 * deg + 1)
+        for i, ci in enumerate(cs):
+            b[2 * i] += loop_product(table, ci.conj().vec, ci.vec)[0]
+            for j in range(i + 1, deg + 1):
+                t = loop_product(table, ci.conj().vec, cs[j].vec)[0]
+                b[i + j] += t + t
+        got = companion(StandardPolynomial(A, cs)).coeffs
+        assert [x.hex() for x in got] == [x.hex() for x in b]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_combine_is_the_sequential_sum(mode, rng):
+    # sum_i s_i v_i in one pass equals E = E + v_i * s_i from zero: exactly,
+    # and bit for bit in float mode
+    A = OctonionAlgebra(-2, -3, -5, mode=mode)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        vs = [rand_octonion(rng, A, max_den=7) for _ in range(n)]
+        if mode == "exact":
+            ss = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)]
+        else:
+            ss = [rng.choice((0.0, rng.uniform(-5, 5) * 10.0 ** rng.randint(-5, 5))) for _ in range(n)]
+        want = A.zero
+        for v, s in zip(vs, ss):
+            want = want + v * s
+        got = A.backend.combine([v.vec for v in vs], ss)
+        if mode == "exact":
+            assert got == want.vec
+        else:
+            assert [c.hex() for c in got] == [c.hex() for c in want.vec]
+    if mode == "float":
+        with pytest.raises(NumericFailureError, match="overflow"):
+            A.backend.combine([A.one.vec], [float("inf")])
 
 
 def test_eg_coeffs():
