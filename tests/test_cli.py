@@ -11,9 +11,12 @@ import pytest
 
 from octopoly import (
     SPLIT,
+    ConfigurationError,
     OctonionAlgebra,
     ParseError,
+    StandardPolynomial,
     format_octonion,
+    format_polynomial,
     parse_octonion,
     parse_polynomial,
     verify_root,
@@ -85,6 +88,92 @@ def test_parse_polynomial_errors(alg):
         parse_polynomial("z^2 +", alg)
     with pytest.raises(ParseError):
         parse_polynomial("q*z", alg)
+
+
+# (literal, message, offset) of malformed polynomial literals, the same in
+# both modes; the message and offset are part of the interface
+MALFORMED = [
+    ("z^", "expected a nonnegative integer exponent", 2),
+    ("z^-1", "expected a nonnegative integer exponent", 2),
+    ("(1+i", "expected ')'", 4),
+    ("2*3", "expected 'z' after '*'", 1),
+    ("i*j", "expected 'z' after '*'", 1),
+    ("1/2/3", "unexpected character '/'", 3),
+    ("+", "expected a coefficient or basis symbol", 1),
+    ("z z", "expected '+' or '-' between terms", 2),
+    ("()", "empty octonion literal", 1),
+    ("z^1.5", "expected a nonnegative integer exponent", 2),
+    ("3*z*z", "expected '+' or '-' between terms", 3),
+    ("(i)(j)", "expected '+' or '-' between terms", 3),
+    ("", "empty polynomial", 0),
+    ("2*m", "unknown basis symbol 'm'", 2),
+    ("z^2 +", "expected a coefficient or basis symbol", 5),
+    ("1/2*", "expected 'z' after '*'", 3),
+    ("z*i", "expected '+' or '-' between terms", 1),
+    ("(i)*z^", "expected a nonnegative integer exponent", 6),
+    ("2*z^+3", "expected a nonnegative integer exponent", 4),
+    ("i @ z", "unexpected character '@'", 1),
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("text, message, pos", MALFORMED)
+def test_malformed_polynomial_message_and_offset(text, message, pos, mode):
+    alg = OctonionAlgebra(-1, -1, -1, mode=mode)
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, alg)
+    assert str(info.value) == "%s (at position %d)" % (message, pos)
+    assert info.value.pos == pos
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_malformed_literal_messages_without_offset(mode):
+    # whole-literal errors carry no offset; 1e999 is a decimal in exact mode
+    # and out of range in float mode
+    alg = OctonionAlgebra(-1, -1, -1, mode=mode)
+    for text, message in [
+        ("z^17 + 1", "degree 17 exceeds the maximum 16"),
+        ("z - z", "the zero polynomial is not a valid StandardPolynomial"),
+        ("(1 - 1 + 0*i)*z", "the zero polynomial is not a valid StandardPolynomial"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, alg)
+        assert str(info.value) == message and info.value.pos is None
+    for text in ("1e999*z+1", ".5*z+1"):
+        if mode == "exact":
+            with pytest.raises(ParseError) as info:
+                parse_polynomial(text, alg)
+            assert str(info.value) == "decimal coefficients need float mode (at position 0)"
+    if mode == "float":
+        with pytest.raises(ConfigurationError) as info:
+            parse_polynomial("1e999*z+1", alg)
+        assert str(info.value) == "scalar inf is not a finite float64"
+        assert parse_polynomial(".5*z+1", alg).coeffs[1].coords[0] == 0.5
+
+
+def _rand_coeff(rng, alg):
+    # zero, unit, negative and p/q coordinates, or floats of any magnitude
+    # (formatted with 17 significant digits)
+    coords = [0] * 8
+    for idx in rng.sample(range(8), rng.randint(0, 8)):
+        if alg.mode == "float":
+            coords[idx] = rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20)
+        else:
+            coords[idx] = F(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 7, 12]))
+    return alg.octonion(coords)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_parse_polynomial_roundtrip(mode, rng):
+    alg = OctonionAlgebra(-1, -1, -1, mode=mode)
+    for _ in range(150):
+        degree = rng.randint(0, 16)
+        coeffs = [_rand_coeff(rng, alg) for _ in range(degree)]
+        lead = alg.zero
+        while lead.is_exactly_zero():
+            lead = _rand_coeff(rng, alg)
+        phi = StandardPolynomial(alg, coeffs + [lead])
+        assert parse_polynomial(format_polynomial(phi), alg) == phi
 
 
 def test_cli_solve_golden(capsys):
