@@ -11,7 +11,9 @@ and kl exist only here; storage is always the 8-coordinate vector.
 from __future__ import annotations
 
 import re
+import string
 
+from .algebra import Octonion
 from .errors import ParseError
 
 BASIS_SYMBOLS = {"1": 0, "i": 1, "j": 2, "k": 3, "l": 4, "il": 5, "jl": 6, "kl": 7}
@@ -19,114 +21,123 @@ _SYMBOL_FOR_INDEX = {0: "1", 1: "i", 2: "j", 3: "k", 4: "l", 5: "il", 6: "jl", 7
 
 MAX_DEGREE = 16
 
+# one token per match: a number, a name, an operator, or any other character
+# (which starts no token and is reported as unexpected)
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+/\d+|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z]+)|(?P<op>[-+*^()])|(?P<bad>\S))"
+    r"\s*(\d+/\d+|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+    r"|\d+(?:[eE][+-]?\d+)?|[A-Za-z]+|[-+*^()]|\S)"
 )
+_NAME_OR_OP_CHARS = frozenset(string.ascii_letters + "+-*^()")
+_OPS = frozenset("+-*^()")
+_SIGNS = frozenset("+-")
+_BASIS_NAMES = {s: k for s, k in BASIS_SYMBOLS.items() if s.isalpha()}
 
 
 def _tokenize(text):
-    """(kind, text, offset) tokens of a literal, ending with an "end" token.
+    """The token texts of a literal, then "" for its end.
 
-    One scan: consecutive matches cover the text up to trailing whitespace,
-    and any character that starts no token matches ``bad``."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError("unexpected character %r" % m[kind], text, m.start())
-        tokens.append((kind, m[kind], m.start(kind)))
-    tokens.append(("end", "", len(text)))
+    A token's kind follows from its text: a name is letters, an operator
+    one of ``+-*^()``, and anything else a number.  A character that starts
+    no token is a one-character token outside those, reported here at the
+    start of its match (the whitespace before it, if any)."""
+    tokens = _TOKEN_RE.findall(text)
+    if any(map(_unexpected, set(tokens))):
+        for m in _TOKEN_RE.finditer(text):
+            if _unexpected(m[1]):
+                raise ParseError("unexpected character %r" % m[1], text, m.start())
+    tokens.append("")
     return tokens
 
 
+def _unexpected(token):
+    """Is the token a character that starts no token?  (A one-character
+    number is a decimal digit, as ``\\d`` matches.)"""
+    return len(token) == 1 and token not in _NAME_OR_OP_CHARS and not token.isdecimal()
+
+
+def _offset(text, k):
+    """The offset in ``text`` of token k (k past the last token: the end)."""
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(text)]
+    return starts[k] if k < len(starts) else len(text)
+
+
 class _Parser:
+    """Recursive descent over the token texts; ``k`` indexes the next token."""
+
     def __init__(self, text, algebra):
         self.text = text
-        self.algebra = algebra
         self.tokens = _tokenize(text)
         self.k = 0
+        self.literal = algebra.backend.literal
+        self.zero = self.literal("0")
+        self.one = self.literal("1")
 
-    def peek(self):
-        return self.tokens[self.k]
+    def fail(self, message, k=None):
+        """Raise ParseError at token k (default: the next token)."""
+        raise ParseError(message, self.text, _offset(self.text, self.k if k is None else k))
 
-    def next(self):
-        tok = self.tokens[self.k]
+    def expect(self, op):
+        if self.tokens[self.k] != op:
+            self.fail("expected %r" % op)
         self.k += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, self.text, tok[2])
-
-    def expect_op(self, op):
-        tok = self.next()
-        if tok[0] != "op" or tok[1] != op:
-            self.fail("expected %r" % op, tok)
-
-    def number(self, tok):
-        txt = tok[1]
-        if "." in txt or "e" in txt or "E" in txt:
-            try:
-                return self.algebra.scalar(float(txt))
-            except TypeError:  # the exact backend refuses floats
-                self.fail("decimal coefficients need float mode", tok)
-        return self.algebra.scalar(txt)
 
     def sign(self):
-        s = 1
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            if self.next()[1] == "-":
-                s = -s
-        return s
+        """Consume a run of '+' and '-'; True when it negates."""
+        tokens, k = self.tokens, self.k
+        negative = False
+        while tokens[k] in _SIGNS:
+            negative ^= tokens[k] == "-"
+            k += 1
+        self.k = k
+        return negative
 
     # term := number ['*' basis] | basis
     def octonion_term(self):
         """The term's one nonzero coordinate as (index, value)."""
-        tok = self.next()
-        if tok[0] == "number":
-            value = self.number(tok)
-            if self.peek()[0] == "op" and self.peek()[1] == "*":
-                save = self.k
-                self.next()
-                nxt = self.next()
-                if nxt[0] == "name" and nxt[1] in BASIS_SYMBOLS:
-                    return BASIS_SYMBOLS[nxt[1]], value
-                if nxt[0] == "name" and nxt[1] != "z":
-                    self.fail("unknown basis symbol %r" % nxt[1], nxt)
-                self.k = save  # the '*' belongs to an enclosing z-term
-            return 0, value
-        if tok[0] == "name":
-            if tok[1] not in BASIS_SYMBOLS:
-                self.fail("unknown basis symbol %r" % tok[1], tok)
-            return BASIS_SYMBOLS[tok[1]], self.algebra._one
-        self.fail("expected a coefficient or basis symbol", tok)
+        tokens, k = self.tokens, self.k
+        t = tokens[k]
+        if t in _BASIS_NAMES:
+            self.k = k + 1
+            return _BASIS_NAMES[t], self.one
+        if t.isalpha():
+            self.fail("unknown basis symbol %r" % t, k)
+        if not t or t in _OPS:
+            self.fail("expected a coefficient or basis symbol", k)
+        try:  # the number token, converted once into the backend scalar
+            value = self.literal(t)
+        except ValueError as exc:  # a decimal in exact mode, a zero denominator, too many digits
+            self.fail(str(exc), k)
+        if tokens[k + 1] == "*":
+            nxt = tokens[k + 2]
+            if nxt in _BASIS_NAMES:
+                self.k = k + 3
+                return _BASIS_NAMES[nxt], value
+            if nxt.isalpha() and nxt != "z":
+                self.fail("unknown basis symbol %r" % nxt, k + 2)
+            # else the '*' belongs to an enclosing z-term
+        self.k = k + 1
+        return 0, value
 
     def octonion_expr(self):
-        coords = [self.algebra._zero] * 8
-        first = True
+        tokens = self.tokens
+        if tokens[self.k] in ("", ")"):
+            self.fail("empty octonion literal")
+        coords = [self.zero] * 8
         while True:
-            tok = self.peek()
-            if tok[0] == "end" or (tok[0] == "op" and tok[1] == ")"):
-                if first:
-                    self.fail("empty octonion literal", tok)
-                return coords
-            if not first:
-                if tok[0] != "op" or tok[1] not in "+-":
-                    return coords
-            s = self.sign()
+            negative = self.sign()
             idx, value = self.octonion_term()
-            coords[idx] = coords[idx] + value if s > 0 else coords[idx] - value
-            first = False
+            coords[idx] = coords[idx] - value if negative else coords[idx] + value
+            if tokens[self.k] not in _SIGNS:
+                return coords
 
 
 def parse_octonion(text, algebra):
     """Parse a full octonion literal; the whole string must be consumed."""
     p = _Parser(text, algebra)
     coords = p.octonion_expr()
-    if p.peek()[0] != "end":
+    if p.tokens[p.k]:
         p.fail("trailing input after octonion literal")
-    return algebra.octonion(coords)
+    return Octonion(algebra, algebra.backend.vector(coords))
 
 
 def parse_polynomial(text, algebra):
@@ -138,25 +149,26 @@ def parse_polynomial(text, algebra):
     from .polynomials import StandardPolynomial
 
     p = _Parser(text, algebra)
-    by_degree = {}
-    first = True
-    while p.peek()[0] != "end":
-        tok = p.peek()
-        if not first and not (tok[0] == "op" and tok[1] in "+-"):
-            p.fail("expected '+' or '-' between terms")
-        s = p.sign()
-        terms, degree = _poly_term(p)
-        cur = by_degree.setdefault(degree, [algebra._zero] * 8)
-        for idx, value in terms:
-            cur[idx] = cur[idx] + value if s > 0 else cur[idx] - value
-        first = False
-    if first:
+    tokens = p.tokens
+    if not tokens[0]:
         raise ParseError("empty polynomial", text, 0)
+    by_degree = {}
+    while True:
+        negative = p.sign()
+        terms, degree = _poly_term(p)
+        cur = by_degree.setdefault(degree, [p.zero] * 8)
+        for idx, value in terms:
+            cur[idx] = cur[idx] - value if negative else cur[idx] + value
+        if not tokens[p.k]:
+            break
+        if tokens[p.k] not in _SIGNS:
+            p.fail("expected '+' or '-' between terms")
     top = max(by_degree)
     if top > MAX_DEGREE:
         raise ParseError("degree %d exceeds the maximum %d" % (top, MAX_DEGREE), text)
+    vector = algebra.backend.vector
     coeffs = [
-        algebra.octonion(by_degree.get(d, [algebra._zero] * 8))
+        Octonion(algebra, vector(by_degree[d])) if d in by_degree else algebra.zero
         for d in range(top + 1)
     ]
     try:
@@ -168,37 +180,38 @@ def parse_polynomial(text, algebra):
 def _poly_term(p):
     """One polynomial term -> (its nonzero coordinates as (index, value)
     pairs, degree)."""
-    tok = p.peek()
-    if tok[0] == "name" and tok[1] == "z":
-        return [(0, p.algebra._one)], _z_degree(p)
-    if tok[0] == "op" and tok[1] == "(":
-        p.next()
+    tokens = p.tokens
+    t = tokens[p.k]
+    if t == "z":
+        return [(0, p.one)], _z_degree(p)
+    if t == "(":
+        p.k += 1
         terms = [(idx, c) for idx, c in enumerate(p.octonion_expr()) if c != 0]
-        p.expect_op(")")
+        p.expect(")")
     else:
         terms = [p.octonion_term()]
-    nxt = p.peek()
-    if nxt[0] == "op" and nxt[1] == "*":
-        save = p.k
-        p.next()
-        if p.peek()[0] == "name" and p.peek()[1] == "z":
-            return terms, _z_degree(p)
-        p.k = save
-        p.fail("expected 'z' after '*'")
+    if tokens[p.k] == "*":
+        if tokens[p.k + 1] != "z":
+            p.fail("expected 'z' after '*'")
+        p.k += 1
+        return terms, _z_degree(p)
     return terms, 0
 
 
 def _z_degree(p):
-    tok = p.next()
-    if tok[0] != "name" or tok[1] != "z":
-        p.fail("expected the variable 'z'", tok)
-    if p.peek()[0] == "op" and p.peek()[1] == "^":
-        p.next()
-        dtok = p.next()
-        if dtok[0] != "number" or not dtok[1].isdigit():
-            p.fail("expected a nonnegative integer exponent", dtok)
-        return int(dtok[1])
-    return 1
+    """The degree of the 'z' or 'z^d' at the next token."""
+    tokens, k = p.tokens, p.k
+    if tokens[k + 1] != "^":
+        p.k = k + 1
+        return 1
+    digits = tokens[k + 2]
+    if not digits.isdigit():
+        p.fail("expected a nonnegative integer exponent", k + 2)
+    p.k = k + 3
+    try:
+        return int(digits)
+    except ValueError:  # longer than int() converts, so far above the cap
+        p.fail("degree of %d digits exceeds the maximum %d" % (len(digits), MAX_DEGREE), k + 2)
 
 
 def format_octonion(x):

@@ -103,6 +103,33 @@ def over_common_denominator(values):
     return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
+def _too_long(digits):
+    """The ValueError for a digit string longer than int() converts
+    (``sys.get_int_max_str_digits()``)."""
+    return ValueError("a number of %d digits is too long to convert" % len(digits))
+
+
+def _ratio(text):
+    """(p, q) of a 'p/q' token, ints with q != 0 (else ValueError)."""
+    num, den = text.split("/")
+    try:
+        num, den = int(num), int(den)
+    except ValueError:
+        raise _too_long(max(num, den, key=len)) from None
+    if den == 0:
+        raise ValueError("zero denominator")
+    return num, den
+
+
+def _range_error(value, what):
+    """ConfigurationError 'scalar <value> <what>', the value's text cut to 40
+    characters."""
+    text = str(value)
+    if len(text) > 40:
+        text = text[:37] + "..."
+    return ConfigurationError("scalar %s %s" % (text, what))
+
+
 def _reduced(nums, den):
     """The canonical exact vector nums/den, for den > 0."""
     g = math.gcd(den, *nums)
@@ -152,6 +179,19 @@ class Exact(_Backend):
             )
         raise TypeError("cannot use %r as an exact scalar" % (value,))
 
+    def literal(self, text):
+        """The scalar of a number token: an int for a digit string, a
+        Fraction for 'p/q'.  A decimal raises ValueError, as do a zero
+        denominator and a digit string longer than int() converts."""
+        if text.isdigit():
+            try:
+                return int(text)
+            except ValueError:
+                raise _too_long(text) from None
+        if "/" in text:
+            return Fraction(*_ratio(text))
+        raise ValueError("decimal coefficients need float mode")
+
     def format(self, x):
         """Reduced 'p/q' (or 'p')."""
         return str(x)
@@ -189,8 +229,8 @@ class Exact(_Backend):
     # -- vectors -----------------------------------------------------------
 
     def vector(self, coords):
-        """The vector of 8 Fractions; over the lcm of their denominators it is
-        already canonical."""
+        """The vector of 8 ints or Fractions, in any mix; over the lcm of their
+        denominators it is already canonical."""
         return over_common_denominator(coords)
 
     def coords(self, v):
@@ -274,10 +314,30 @@ class Float(_Backend):
         except OverflowError:  # a rational too large for float64
             x = math.inf
         if not math.isfinite(x):
-            text = str(value)
-            if len(text) > 40:
-                text = text[:37] + "..."
-            raise ConfigurationError("scalar %s is not a finite float64" % text)
+            raise _range_error(value, "is not a finite float64")
+        return x
+
+    def literal(self, text):
+        """The float nearest the number token ``text`` (digits, a decimal or
+        'p/q'; float() of a string and int / int both round correctly).  A
+        value beyond float64, or a nonzero one that rounds to 0, raises
+        ConfigurationError; a zero denominator or a numerator or denominator
+        longer than int() converts raises ValueError."""
+        try:
+            if "/" in text:
+                num, den = _ratio(text)
+                x = num / den
+            else:
+                x = float(text)
+        except OverflowError:  # a ratio too large for float64
+            x = math.inf
+        if x == math.inf:
+            # a decimal is named by its value, as coerce names a float
+            decimal = "/" not in text and not text.isdigit()
+            raise _range_error(x if decimal else text, "is not a finite float64")
+        # the literal is nonzero when its mantissa or numerator has a nonzero digit
+        if x == 0 and text.lower().partition("e")[0].partition("/")[0].strip("0."):
+            raise _range_error(text, "underflows to 0 in float64")
         return x
 
     def format(self, x):

@@ -42,6 +42,12 @@ def test_parse_octonion_golden(alg):
         parse_octonion("0.5 + i", alg)
     xf = parse_octonion("0.5 + i", OctonionAlgebra(-1, -1, -1, mode="float"))
     assert xf.coords[0] == 0.5
+    # a malformed number is a ParseError at its offset in both modes
+    for a in (alg, OctonionAlgebra(-1, -1, -1, mode="float")):
+        with pytest.raises(ParseError, match=r"^zero denominator \(at position 4\)$"):
+            parse_octonion("i - 1/0*j", a)
+        with pytest.raises(ParseError, match=r"^a number of 5000 digits .* \(at position 2\)$"):
+            parse_octonion("i+1/" + "7" * 5000, a)
 
 
 def test_parse_roundtrip(alg, rng):
@@ -88,6 +94,17 @@ def test_parse_polynomial_errors(alg):
         parse_polynomial("z^2 +", alg)
     with pytest.raises(ParseError):
         parse_polynomial("q*z", alg)
+    # malformed numbers: a zero denominator, and digit strings longer than
+    # int() converts (4300 digits by default)
+    for text, message in [
+        ("1/0", "zero denominator (at position 0)"),
+        ("z^2 + 3/0*z", "zero denominator (at position 6)"),
+        ("z^" + "9" * 5000 + " + 1", "degree of 5000 digits exceeds the maximum 16 (at position 2)"),
+        ("9" * 5000 + "*z + 1", "a number of 5000 digits is too long to convert (at position 0)"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, alg)
+        assert str(info.value) == message
 
 
 # (literal, message, offset) of malformed polynomial literals, the same in
@@ -328,6 +345,44 @@ def test_cli_float_overflow_exits_2(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "not a finite float64" in captured.err
+
+
+@pytest.mark.parametrize(
+    "poly, scalar",
+    [
+        ("1e-400*z^2 + z + 1", "1e-400"),
+        ("1/1" + "0" * 400 + "*z^2 + z + 1", "1/1" + "0" * 34 + "..."),
+    ],
+    ids=["decimal", "ratio"],
+)
+def test_cli_float_underflow_exits_2(poly, scalar, capsys):
+    # a nonzero literal that rounds to 0.0 would drop its term; a literal
+    # zero stays valid
+    assert main(["solve", "--mode", "float", "--poly", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scalar %s underflows to 0 in float64\n" % scalar
+    assert main(["solve", "--mode", "float", "--poly", "0.0*z^2 + 0e-400*z^2 + 0/7*z + z + 1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["polynomial"]["coefficients"]) == 2
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--poly", "1/0*z + 1"],
+        ["eigen", "--poly", "z^2 + 1", "--lambda", "1/0"],
+        ["solve", "--poly", "z^" + "9" * 5000 + " + 1"],
+    ],
+    ids=["coefficient", "lambda", "exponent"],
+)
+def test_cli_malformed_number_exits_2(argv, mode, capsys):
+    # a zero denominator or an exponent too long for int() is a parse error
+    # on one line, not a traceback
+    assert main(argv + ["--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
