@@ -6,12 +6,21 @@ coefficients that are integers, 'p/q' rationals or -- in float mode only --
 decimals.  Polynomial literals are sums of ``C*z^d``, ``C*z``, ``C`` where C
 is a parenthesized octonion literal or a bare term.  The surface aliases k
 and kl exist only here; storage is always the 8-coordinate vector.
+
+One regex scan splits a literal into token texts, and the parser walks
+them by index; token offsets are recomputed only to report an error.  Each
+number token is converted once, by the backend's ``literal``, straight into
+its scalar: an int or a Fraction in exact mode, the nearest float in float
+mode.  Coordinates accumulate in that type, and each coefficient becomes
+its stored vector in one backend call.  A malformed number (a decimal in
+exact mode, a zero denominator, more digits than int() converts) is a
+ParseError at its offset; a float literal that float64 cannot hold (not
+finite, or nonzero but rounding to 0) is a ConfigurationError naming it.
 """
 
 from __future__ import annotations
 
 import re
-import string
 
 from .algebra import Octonion
 from .errors import ParseError
@@ -27,7 +36,7 @@ _TOKEN_RE = re.compile(
     r"\s*(\d+/\d+|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?|[A-Za-z]+|[-+*^()]|\S)"
 )
-_NAME_OR_OP_CHARS = frozenset(string.ascii_letters + "+-*^()")
+_ONE_CHAR_TOKEN_RE = re.compile(r"[A-Za-z\d()*^+-]")
 _OPS = frozenset("+-*^()")
 _SIGNS = frozenset("+-")
 _BASIS_NAMES = {s: k for s, k in BASIS_SYMBOLS.items() if s.isalpha()}
@@ -50,9 +59,8 @@ def _tokenize(text):
 
 
 def _unexpected(token):
-    """Is the token a character that starts no token?  (A one-character
-    number is a decimal digit, as ``\\d`` matches.)"""
-    return len(token) == 1 and token not in _NAME_OR_OP_CHARS and not token.isdecimal()
+    """Is the token a character that starts no token?"""
+    return len(token) == 1 and not _ONE_CHAR_TOKEN_RE.match(token)
 
 
 def _offset(text, k):

@@ -1,9 +1,10 @@
 """Scalar backends: exact rationals (:class:`Exact`) and float64 (:class:`Float`).
 
 An algebra holds one backend, which owns every choice that depends on the
-scalars: coercion and text form, zero tests, square roots, the nullspace
-routine, the class candidates of a companion polynomial (and, in float
-mode, the check that float64 kept it), and the storage of octonion
+scalars: coercion, the value of a literal's number token and the text
+form, zero tests, square roots, the nullspace routine, the class
+candidates of a companion polynomial (and, in float mode, the check that
+float64 kept it), and the storage of octonion
 coordinate vectors with their arithmetic (sum, difference, negation,
 scaling, conjugation, trace, the inner form, linear combinations and the
 product).  Exact mode stores a vector as 8 ints over one positive
