@@ -15,7 +15,9 @@ mode.  Coordinates accumulate in that type, and each coefficient becomes
 its stored vector in one backend call.  A malformed number (a decimal in
 exact mode, a zero denominator, more digits than int() converts) is a
 ParseError at its offset; a float literal that float64 cannot hold (not
-finite, or nonzero but rounding to 0) is a ConfigurationError naming it.
+finite, or nonzero but rounding to 0) is a ConfigurationError naming it,
+as is a float coordinate whose sum overflows (the backend's ``vector``
+refuses it).
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -111,12 +112,17 @@ def _too_long(digits):
 
 
 def _ratio(text):
-    """(p, q) of a 'p/q' token, ints with q != 0 (else ValueError)."""
-    num, den = text.split("/")
+    """(p, q) of a 'p/q' text, ints with q != 0 (else ValueError)."""
+    num, _, den = text.partition("/")
     try:
         num, den = int(num), int(den)
     except ValueError:
-        raise _too_long(max(num, den, key=len)) from None
+        longest = max(num, den, key=len)
+        # 0 when int() has no digit limit (as before Python 3.10.7)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(longest) > limit:
+            raise _too_long(longest) from None
+        raise ValueError("%r is not a ratio of two integers" % text) from None
     if den == 0:
         raise ValueError("zero denominator")
     return num, den
@@ -308,36 +314,44 @@ class Float(_Backend):
     A vector is a tuple of 8 floats."""
 
     def coerce(self, value):
-        """Anything float() accepts, plus 'p/q' strings, whose value is a
-        finite float64."""
+        """Anything float() accepts, plus 'p/q' strings (a string is read by
+        ``literal``), whose value is a finite float64 that is 0 only when
+        the value is."""
+        if isinstance(value, str):
+            return self.literal(value)
         try:
-            x = float(Fraction(value)) if isinstance(value, str) else float(value)
+            x = float(value)
         except OverflowError:  # a rational too large for float64
             x = math.inf
         if not math.isfinite(x):
             raise _range_error(value, "is not a finite float64")
+        if x == 0 and value != 0:  # a rational too small for float64
+            raise _range_error(value, "underflows to 0 in float64")
         return x
 
     def literal(self, text):
-        """The float nearest the number token ``text`` (digits, a decimal or
-        'p/q'; float() of a string and int / int both round correctly).  A
-        value beyond float64, or a nonzero one that rounds to 0, raises
-        ConfigurationError; a zero denominator or a numerator or denominator
-        longer than int() converts raises ValueError."""
-        try:
-            if "/" in text:
-                num, den = _ratio(text)
+        """The float nearest the number text ``text``: anything float()
+        accepts, or 'p/q' of two ints (float() of a string and int / int
+        both round correctly).  A value beyond float64, or a nonzero one
+        that rounds to 0, raises ConfigurationError; a 'p/q' that is not
+        two ints, or has a zero denominator or a part longer than int()
+        converts, raises ValueError."""
+        if "/" in text:
+            num, den = _ratio(text)
+            try:
                 x = num / den
-            else:
-                x = float(text)
-        except OverflowError:  # a ratio too large for float64
-            x = math.inf
-        if x == math.inf:
-            # a decimal is named by its value, as coerce names a float
-            decimal = "/" not in text and not text.isdigit()
-            raise _range_error(x if decimal else text, "is not a finite float64")
-        # the literal is nonzero when its mantissa or numerator has a nonzero digit
-        if x == 0 and text.lower().partition("e")[0].partition("/")[0].strip("0."):
+            except OverflowError:  # a ratio too large for float64
+                raise _range_error(text, "is not a finite float64") from None
+            nonzero = num != 0
+        else:
+            x = float(text)
+            if not math.isfinite(x):
+                # a decimal is named by its value, as coerce names a float
+                raise _range_error(text if text.isdigit() else x, "is not a finite float64")
+            # nonzero when a digit of the mantissa is (any script's digits)
+            mantissa = text.lower().partition("e")[0]
+            nonzero = any(c.isdecimal() and int(c) for c in mantissa)
+        if x == 0 and nonzero:
             raise _range_error(text, "underflows to 0 in float64")
         return x
 
@@ -387,7 +401,13 @@ class Float(_Backend):
     # -- vectors -----------------------------------------------------------
 
     def vector(self, coords):
-        return tuple(coords)
+        """The vector of 8 finite floats (a literal's coordinate is a sum of
+        finite floats, which can overflow)."""
+        v = tuple(coords)
+        for x in v:
+            if not math.isfinite(x):
+                raise _range_error(x, "is not a finite float64")
+        return v
 
     def coords(self, v):
         return v

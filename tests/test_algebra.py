@@ -321,3 +321,7 @@ def test_bad_parameters():
     for alpha in ("-1e400", Fraction(-(10**400)), float("-inf"), float("nan")):
         with pytest.raises(ConfigurationError, match="not a finite float64"):
             OctonionAlgebra(alpha, "-1", "-1", mode="float")
+    # a nonzero value that rounds to 0.0
+    for alpha in ("1e-400", "-1/1" + "0" * 400, Fraction(1, 10**400)):
+        with pytest.raises(ConfigurationError, match="underflows to 0 in float64"):
+            OctonionAlgebra(alpha, "-1", "-1", mode="float")

@@ -162,9 +162,14 @@ def test_malformed_literal_messages_without_offset(mode):
                 parse_polynomial(text, alg)
             assert str(info.value) == "decimal coefficients need float mode (at position 0)"
     else:
+        # a literal, or a sum of finite literals, beyond float64
+        for text in ("1e999*z+1", "z + 1e308 + 1e308", "(1e308*i + 1e308*i)*z"):
+            with pytest.raises(ConfigurationError) as info:
+                parse_polynomial(text, alg)
+            assert str(info.value) == "scalar inf is not a finite float64"
         with pytest.raises(ConfigurationError) as info:
-            parse_polynomial("1e999*z+1", alg)
-        assert str(info.value) == "scalar inf is not a finite float64"
+            parse_octonion("-1e308 - 1e308", alg)
+        assert str(info.value) == "scalar -inf is not a finite float64"
         assert parse_polynomial(".5*z+1", alg).coeffs[1].coords[0] == 0.5
 
 
@@ -335,12 +340,18 @@ def test_cli_configuration_errors_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--alpha", "1e400", "--poly", "z + 1"], ["--poly", "z + " + "9" * 400]],
-    ids=["parameter", "coefficient"],
+    [
+        ["solve", "--alpha", "1e400", "--poly", "z + 1"],
+        ["solve", "--poly", "z + " + "9" * 400],
+        ["solve", "--poly", "z + 1e308 + 1e308"],
+        ["eigen", "--poly", "z^2 + 1", "--lambda", "1e308 + 1e308"],
+    ],
+    ids=["parameter", "coefficient", "coefficient-sum", "lambda-sum"],
 )
 def test_cli_float_overflow_exits_2(argv, capsys):
-    # a rational too large for float64 is a configuration error, one line
-    assert main(["solve", "--mode", "float"] + argv) == 2
+    # a rational too large for float64, or a sum of literals that
+    # overflows, is a configuration error, one line
+    assert main(argv + ["--mode", "float"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -348,21 +359,23 @@ def test_cli_float_overflow_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "poly, scalar",
+    "argv, scalar",
     [
-        ("1e-400*z^2 + z + 1", "1e-400"),
-        ("1/1" + "0" * 400 + "*z^2 + z + 1", "1/1" + "0" * 34 + "..."),
+        (["--poly", "1e-400*z^2 + z + 1"], "1e-400"),
+        (["--poly", "1/1" + "0" * 400 + "*z^2 + z + 1"], "1/1" + "0" * 34 + "..."),
+        (["--alpha", "1e-400", "--poly", "z + 1"], "1/1" + "0" * 34 + "..."),
     ],
-    ids=["decimal", "ratio"],
+    ids=["decimal", "ratio", "parameter"],
 )
-def test_cli_float_underflow_exits_2(poly, scalar, capsys):
-    # a nonzero literal that rounds to 0.0 would drop its term; a literal
-    # zero stays valid
-    assert main(["solve", "--mode", "float", "--poly", poly]) == 2
+def test_cli_float_underflow_exits_2(argv, scalar, capsys):
+    # a nonzero literal or parameter that rounds to 0.0 would drop its term
+    # or zero the parameter; a literal zero, in any script's digits, stays valid
+    assert main(["solve", "--mode", "float"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: scalar %s underflows to 0 in float64\n" % scalar
-    assert main(["solve", "--mode", "float", "--poly", "0.0*z^2 + 0e-400*z^2 + 0/7*z + z + 1"]) == 0
+    zeros = "0.0*z^2 + 0e-400*z^2 + \u0660.\u0660e-400*z^2 + \u0660*z^2 + 0/7*z + z + 1"
+    assert main(["solve", "--mode", "float", "--poly", zeros]) == 0
     assert len(json.loads(capsys.readouterr().out)["polynomial"]["coefficients"]) == 2
 
 

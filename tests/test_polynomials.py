@@ -7,6 +7,7 @@ import pytest
 
 from octopoly import (
     CentralPolynomial,
+    ConfigurationError,
     NumericFailureError,
     OctonionAlgebra,
     StandardPolynomial,
@@ -38,6 +39,13 @@ def test_construction(alg):
     p = StandardPolynomial(alg, [alg.one, alg.basis_element(1), alg.zero])
     assert p.degree == 1  # trailing zero stripped
     assert not p.is_monic() or p.coeffs[-1] == alg.one
+
+
+def test_float_coefficient_must_not_underflow():
+    # a nonzero rational that rounds to 0.0 would silently lower the degree
+    alg = OctonionAlgebra(-1, -1, -1, mode="float")
+    with pytest.raises(ConfigurationError, match="underflows to 0 in float64"):
+        StandardPolynomial(alg, [1, 1, Fraction(1, 10**400)])
 
 
 def test_eval_golden(alg, phi3, psi):
