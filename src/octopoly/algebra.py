@@ -70,6 +70,7 @@ class OctonionAlgebra:
         self._mul = self.backend.multiplier(self._table)
         # the polar form <x,y> of the norm form: N(x) = <x,x>, Tr(conj(x) y) = 2<x,y>
         self._inner = self.backend.inner_form(self.norm_coeffs)
+        self._companion = self.backend.companion_form(self.norm_coeffs)
         self._basis = tuple(
             self.octonion([self._one if t == k else self._zero for t in range(8)])
             for k in range(8)

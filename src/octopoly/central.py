@@ -3,12 +3,16 @@
 Each closure root that generates an extension of degree <= 2 is collapsed to
 its (trace, norm) pair -- a conjugacy-class candidate.  Exact mode finds
 every rational factor of degree <= 2 by a complete modular search on
-integer polynomials: the integer square-free part is taken by a primitive
-remainder sequence, its factors of degree 1 and 2 modulo a small prime are
-lifted by p-adic Newton (Bairstow) steps, and each candidate is confirmed
-by integer trial division that stops at the first leading term that does
-not divide.  Float mode finds all complex roots by Aberth-Ehrlich iteration
-and clusters them by their inclusion discs.
+integer polynomials.  A prime p that keeps the integer form square-free
+mod p proves it square-free, so the primitive remainder sequence runs only
+when the first few primes fail (a repeated factor, as for a full class).
+Over F_p the linear factors come from the residues where the polynomial
+vanishes and the quadratics from the root-free rest; every arithmetic step
+there divides by a monic polynomial.  The local factors are lifted by
+p-adic Newton (Bairstow) steps, and each candidate is confirmed by integer
+trial division that stops at the first leading term that does not divide.
+Float mode finds all complex roots by Aberth-Ehrlich iteration and clusters
+them by their inclusion discs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 
@@ -25,6 +28,7 @@ from .polynomials import CentralPolynomial
 from .scalars import FLOAT, ToleranceSpec, backend_for, over_common_denominator
 
 _ABERTH_MAX_ITER = 200
+_SQUARE_FREE_TRIES = 6  # odd primes p not dividing lc(R) tried before the PRS
 _EPS = 2.0**-52  # twice the unit roundoff
 
 
@@ -78,35 +82,72 @@ def _mul(a, b, m):
     return _trim([x % m for x in out])
 
 
+def _monic(a, m):
+    """a != 0 times the inverse of its leading coefficient mod m."""
+    inv = pow(a[-1], -1, m)
+    return [x * inv % m for x in a]
+
+
 def _divmod(a, b, m):
-    """(quotient, remainder) of a by b mod m; lc(b) must be a unit mod m."""
-    n, inv = len(b) - 1, pow(b[-1], -1, m)
+    """(quotient, remainder) of a by the monic b mod m."""
+    n = len(b) - 1
     r = list(a)
     q = [0] * max(len(a) - n, 0)
     for k in reversed(range(len(q))):
-        q[k] = c = r[k + n] * inv % m
+        q[k] = c = r[k + n] % m
         for j in range(n):  # r[k + n] is not read again
             r[k + j] -= c * b[j]
     return _trim(q), _trim([x % m for x in r[:n]])
 
 
+def _rem(a, b, m):
+    """The remainder of a by the monic b mod m; no quotient is kept."""
+    n = len(b) - 1
+    r = list(a)
+    for k in reversed(range(len(r) - n)):
+        c = r[k + n] % m
+        if c:
+            for j in range(n):
+                r[k + j] -= c * b[j]
+    return _trim([x % m for x in r[:n]])
+
+
 def _monic_gcd(a, b, p):
-    """The monic gcd of a != 0 and b over F_p."""
+    """The monic gcd of a monic a and b over F_p."""
     while b:
-        a, b = b, _divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
+        b = _monic(b, p)
+        a, b = b, _rem(a, b, p)
+    return a
 
 
 def _powmod(a, e, f, p):
-    """a^e mod f over F_p, for e >= 1."""
-    out = [1]
-    while e:
-        if e & 1:
-            out = _divmod(_mul(out, a, p), f, p)[1]
-        a = _divmod(_mul(a, a, p), f, p)[1]
-        e >>= 1
+    """a^e mod the monic f over F_p, for e >= 1 and deg a < deg f, by
+    left-to-right binary powering."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _rem(_mul(out, out, p), f, p)
+        if bit == "1":
+            out = _rem(_mul(out, a, p), f, p)
     return out
+
+
+def _square_free_mod_p(a, tries=None):
+    """(p, a mod p made monic) for the smallest odd prime p that does not
+    divide lc(a) and keeps a mod p square-free, or None when the first
+    ``tries`` odd primes that do not divide lc(a) all fail.  A square-free
+    a mod p proves a square-free over Q: a repeated factor over Q stays
+    repeated mod every p that keeps the degree."""
+    lead, p = a[-1], 1
+    while tries != 0:
+        p += 2
+        if lead % p == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        f = _monic(a, p)
+        if len(_monic_gcd(f, _trim([k * c % p for k, c in enumerate(f)][1:]), p)) == 1:
+            return p, f
+        if tries is not None:
+            tries -= 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -128,28 +169,48 @@ class ExactFactorization(
     __slots__ = ()
 
 
-def _split(g, d, p, rng):
+def _split_quadratics(g, p, rng):
     """The monic irreducible factors of g, a product of distinct monic
-    irreducibles of degree d over F_p, p odd (Cantor-Zassenhaus)."""
-    if len(g) <= d + 1:
-        return [g] if len(g) > 1 else []
+    irreducible quadratics over F_p, p odd (Cantor-Zassenhaus)."""
+    if len(g) <= 3:
+        return [g]
     while True:
         a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
-        b = _add(_powmod(a, (p**d - 1) // 2, g, p), [1], p, -1)
+        if not a:
+            continue
+        b = _add(_powmod(a, (p * p - 1) // 2, g, p), [1], p, -1)
         u = _monic_gcd(g, b, p)
         if 1 < len(u) < len(g):
-            return _split(u, d, p, rng) + _split(_divmod(g, u, p)[0], d, p, rng)
+            return _split_quadratics(u, p, rng) + _split_quadratics(
+                _divmod(g, u, p)[0], p, rng
+            )
 
 
-def _local_factors(f, p, rng):
+def _local_factors(f, p):
     """The monic irreducible factors of degree 1 and 2 of a monic
-    square-free f over F_p: g1 = gcd(f, z^p - z) is their product for
-    degree 1, and g2 = gcd(f, z^(p^2) - z) / g1 for degree 2."""
+    square-free f over F_p.  The linears are z - r for the residues r with
+    f(r) = 0.  The quadratics divide the root-free rest g: g itself when
+    deg g = 2, none when deg g = 3, and otherwise the factors of
+    gcd(g, z^(p^2) - z), split by Cantor-Zassenhaus when there are two or
+    more."""
+    values = [0] * p  # f at every residue, by Horner's rule on them all
+    for c in reversed(f):
+        values = [(v * r + c) % p for r, v in enumerate(values)]
+    linears, g = [], f
+    for r, value in enumerate(values):
+        if value == 0:
+            u = [-r % p, 1]
+            linears.append(u)
+            g = _divmod(g, u, p)[0]
+    if len(g) <= 4:
+        return linears + ([g] if len(g) == 3 else [])
     z = [0, 1]
-    zp = _powmod(z, p, f, p)
-    g1 = _monic_gcd(f, _add(zp, z, p, -1), p)
-    g12 = _monic_gcd(f, _add(_powmod(zp, p, f, p), z, p, -1), p)
-    return _split(g1, 1, p, rng) + _split(_divmod(g12, g1, p)[0], 2, p, rng)
+    g2 = _monic_gcd(g, _add(_powmod(z, p * p, g, p), z, p, -1), p)
+    if len(g2) <= 3:
+        return linears + ([g2] if len(g2) == 3 else [])
+    import random  # only Cantor-Zassenhaus draws
+
+    return linears + _split_quadratics(g2, p, random.Random(0))
 
 
 def _newton_lift(S, u, p, m):
@@ -172,7 +233,7 @@ def _newton_lift(S, u, p, m):
         b, a = h[0], h[1]
         q, rem = _divmod(S, h, mod)
         r0, r1 = rem + [0] * (2 - len(rem))
-        rem = _divmod(q, h, mod)[1]
+        rem = _rem(q, h, mod)
         s0, s1 = rem + [0] * (2 - len(rem))
         inv = pow(s0 * s0 - a * s0 * s1 + b * s1 * s1, -1, mod)
         da = (s1 * r0 - s0 * r1) * inv
@@ -238,13 +299,20 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
 
     The search is complete (small-prime Zassenhaus method, von zur Gathen &
     Gerhard, Modern Computer Algebra, ch. 14-15) and runs on integer
-    polynomials throughout.  R is the primitive integer form of Phi and
-    S = R / gcd(R, R') its square-free part, the gcd taken by a primitive
-    pseudo-remainder sequence.  p is the smallest odd prime with p not
-    dividing lc(S) and S mod p square-free.  The irreducible factors of
-    degree 1 and 2 of S mod p are lifted by p-adic Newton iteration to the
-    first m = p^(2^j) > 4 (floor(||S||_2) + 1).  Every integer factor F of S
-    of degree <= 2 has lc(S)/lc(F) F congruent mod m to lc(S) times a lifted
+    polynomials throughout.  R is the primitive integer form of Phi.  Its
+    square-free part S is R itself when R mod p is square-free for one of
+    the first few odd primes p not dividing lc(R), tried in increasing
+    order: a repeated factor over Q would stay repeated mod p.  Otherwise
+    S = R / gcd(R, R'), the gcd taken by a primitive pseudo-remainder
+    sequence.  Either way p is the smallest odd prime with p not dividing
+    lc(S) and S mod p square-free.  Over F_p, with S made monic, the linear
+    factors are z - r for the residues r where S vanishes, and the
+    quadratic factors divide the root-free rest g: g itself when it has
+    degree 2, none when it has degree 3, and otherwise the factors of
+    gcd(g, z^(p^2) - z), split by Cantor-Zassenhaus when there are two or
+    more.  These are lifted by p-adic Newton iteration to the first
+    m = p^(2^j) > 4 (floor(||S||_2) + 1).  Every integer factor F of S of
+    degree <= 2 has lc(S)/lc(F) F congruent mod m to lc(S) times a lifted
     factor or a product of two lifted linears, and its coefficients are
     below 2 ||S||_2 < m/2 in absolute value (Mignotte), so the symmetric
     residue recovers it.  Each candidate, made primitive, is confirmed by
@@ -258,20 +326,17 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
     if len(coeffs) < 2:
         return ExactFactorization((), CentralPolynomial(coeffs))
     R = _primitive(over_common_denominator(coeffs)[0])
-    S = _quotient(R, _primitive_gcd(R, [k * c for k, c in enumerate(R)][1:]))
+    found = _square_free_mod_p(R, _SQUARE_FREE_TRIES)
+    S = R
+    if found is None:  # most likely R has a repeated factor
+        S = _quotient(R, _primitive_gcd(R, [k * c for k, c in enumerate(R)][1:]))
+        found = _square_free_mod_p(S)
+    p, f = found
     lead = S[-1]
-    p = 1
-    while True:
-        p += 2
-        if lead % p == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
-            continue
-        f = _mul(S, [pow(lead, -1, p)], p)
-        if len(_monic_gcd(f, _trim([k * c % p for k, c in enumerate(f)][1:]), p)) == 1:
-            break
     m = p
     while m <= 4 * (math.isqrt(sum(c * c for c in S)) + 1):
         m *= m
-    local = [_newton_lift(S, u, p, m) for u in _local_factors(f, p, random.Random(0))]
+    local = [_newton_lift(S, u, p, m) for u in _local_factors(f, p)]
     pairs = itertools.combinations([h for h in local if len(h) == 2], 2)
     factors = []
     # the linears come first, so every rational root is taken from them

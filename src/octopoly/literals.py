@@ -49,13 +49,13 @@ def _tokenize(text):
 
     A token's kind follows from its text: a name is letters, an operator
     one of ``+-*^()``, and anything else a number.  A character that starts
-    no token is a one-character token outside those, reported here at the
-    start of its match (the whitespace before it, if any)."""
+    no token is a one-character token outside those, reported here at its
+    own offset, as every other error is at its token's."""
     tokens = _TOKEN_RE.findall(text)
     if any(map(_unexpected, set(tokens))):
         for m in _TOKEN_RE.finditer(text):
             if _unexpected(m[1]):
-                raise ParseError("unexpected character %r" % m[1], text, m.start())
+                raise ParseError("unexpected character %r" % m[1], text, m.start(1))
     tokens.append("")
     return tokens
 

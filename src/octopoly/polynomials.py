@@ -132,19 +132,12 @@ def companion(phi: StandardPolynomial) -> CentralPolynomial:
     b_k sums Tr(conj(c_i) c_j) over i < j with i + j = k, plus Norm(c_m)
     when k = 2m.  Every root of phi is a root of the result.  Both come
     from the polar form of the norm: Norm(c) = <c,c> and
-    Tr(conj(c_i) c_j) = 2<c_i,c_j>, so no octonion product is formed.
+    Tr(conj(c_i) c_j) = 2<c_i,c_j>, so no octonion product is formed.  The
+    backend sums them: exactly on ints over one denominator, or in float64
+    pair by pair in a fixed order.
     """
-    n = phi.degree
     alg = phi.algebra
-    inner = alg._inner
-    vecs = [c.vec for c in phi.coeffs]
-    b = [alg._zero] * (2 * n + 1)
-    for i, ci in enumerate(vecs):
-        b[2 * i] = b[2 * i] + inner(ci, ci)
-        for j in range(i + 1, n + 1):
-            t = inner(ci, vecs[j])
-            b[i + j] = b[i + j] + (t + t)
-    return CentralPolynomial(b, alg.mode)
+    return CentralPolynomial(alg._companion([c.vec for c in phi.coeffs]), alg.mode)
 
 
 def eg_sequence(norm, trace, zero, one):

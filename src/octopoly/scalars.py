@@ -6,9 +6,9 @@ form, zero tests, square roots, the nullspace routine, the class
 candidates of a companion polynomial (and, in float mode, the check that
 float64 kept it), and the storage of octonion
 coordinate vectors with their arithmetic (sum, difference, negation,
-scaling, conjugation, trace, the inner form, linear combinations and the
-product).  Exact mode stores a vector as 8 ints over one positive
-denominator, kept canonical (gcd(den, n_0..n_7) = 1, zero over 1), so a
+scaling, conjugation, trace, the inner form, the companion coefficients,
+linear combinations and the product).  Exact mode stores a vector as 8
+ints over one positive denominator, kept canonical (gcd(den, n_0..n_7) = 1, zero over 1), so a
 product or sum costs one gcd instead of one per coordinate operation; its
 coordinates are exposed as reduced ``fractions.Fraction`` and every decision
 is exact.  Float mode stores a tuple of 8 ``float`` and routes every zero
@@ -283,6 +283,29 @@ class Exact(_Backend):
 
         return inner
 
+    def companion_form(self, coeffs):
+        """The companion coefficients b_k = sum_{i+j=k} <v_i,v_j> (ordered
+        pairs) of a vector list v_0..v_n under the diagonal form with
+        ``coeffs``, as a function of the list.  The sums run on ints, the
+        vectors over the lcm of their denominators, and each b_k becomes one
+        Fraction."""
+        qs, qden = over_common_denominator(coeffs)
+
+        def companion(vecs):
+            vden = math.lcm(*(d for _, d in vecs))
+            nums = [[x * (vden // d) for x in xs] for xs, d in vecs]
+            n = len(nums) - 1
+            b = [0] * (2 * n + 1)
+            for i, xs in enumerate(nums):
+                ws = list(map(operator.mul, qs, xs))
+                b[2 * i] += sum(map(operator.mul, ws, xs))
+                for j in range(i + 1, n + 1):
+                    b[i + j] += 2 * sum(map(operator.mul, ws, nums[j]))
+            den = qden * vden * vden
+            return [Fraction(x, den) for x in b]
+
+        return companion
+
     def multiplier(self, table):
         """The product of two vectors under ``table[a][b] = (c, k)``; the
         coefficients c are held as ints over one denominator, so rational
@@ -444,6 +467,24 @@ class Float(_Backend):
             return t
 
         return inner
+
+    def companion_form(self, coeffs):
+        """The companion coefficients b_k = sum_{i+j=k} <v_i,v_j> of a vector
+        list v_0..v_n, as a function of the list: each b_k summed from 0.0,
+        pair by pair in i order, a pair i < j adding <v_i,v_j> doubled."""
+        inner = self.inner_form(coeffs)
+
+        def companion(vecs):
+            n = len(vecs) - 1
+            b = [0.0] * (2 * n + 1)
+            for i, u in enumerate(vecs):
+                b[2 * i] += inner(u, u)
+                for j in range(i + 1, n + 1):
+                    t = inner(u, vecs[j])
+                    b[i + j] += t + t
+            return b
+
+        return companion
 
     def multiplier(self, table):
         """The product of two vectors under ``table[a][b] = (c, k)``, each

@@ -129,7 +129,7 @@ MALFORMED = [
     ("z*i", "expected '+' or '-' between terms", 1),
     ("(i)*z^", "expected a nonnegative integer exponent", 6),
     ("2*z^+3", "expected a nonnegative integer exponent", 4),
-    ("i @ z", "unexpected character '@'", 1),
+    ("i @ z", "unexpected character '@'", 2),
 ]
 
 
@@ -426,8 +426,9 @@ def test_cli_default_tolerance_in_float_json(capsys):
 
 def test_cli_import_skips_dataclasses():
     # start-up cost: dataclasses and the modules it pulls in (inspect, ast,
-    # dis, tokenize) take about a third of the CLI's import time
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    # dis, tokenize) take about a third of the CLI's import time; random is
+    # imported only when the exact factor search splits quadratics mod p
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "random")
     code = "import sys, octopoly.cli; print(*[m for m in %r if m in sys.modules])" % (heavy,)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     run = subprocess.run(
