@@ -176,8 +176,6 @@ def _split_quadratics(g, p, rng):
         return [g]
     while True:
         a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
-        if not a:
-            continue
         b = _add(_powmod(a, (p * p - 1) // 2, g, p), [1], p, -1)
         u = _monic_gcd(g, b, p)
         if 1 < len(u) < len(g):

@@ -11,6 +11,8 @@ from octopoly import (
     NumericFailureError,
     OctonionAlgebra,
     StandardPolynomial,
+    FULL_CLASS,
+    SINGLE_ROOT,
     ToleranceSpec,
     central_roots,
     companion,
@@ -20,6 +22,7 @@ from octopoly import (
     parse_polynomial,
     solve,
 )
+from octopoly.scalars import over_common_denominator
 from conftest import rand_invertible, rand_octonion
 
 F = Fraction
@@ -186,13 +189,15 @@ def test_factors_remainder_keeps_the_leading_coefficient():
     assert tuple(acc) == Phi.coeffs
 
 
-def _check_companion_against_sympy(sympy, rng, A, degree, monic):
-    # the companion of a planted polynomial (coordinates in [-2, 2]): its
-    # factors of degree <= 2 and the degree of the rest agree with sympy's
-    # factorization over Q
+def _check_companion_against_sympy(sympy, rng, A, degree, monic, lead=None):
+    # the companion of a planted polynomial (coordinates in [-2, 2], or the
+    # given leading coefficient): its factors of degree <= 2 and the degree
+    # of the rest agree with sympy's factorization over Q
     lam = rand_octonion(rng, A, -2, 2)
     tail = [rand_octonion(rng, A, -2, 2) for _ in range(degree - 1)]
-    tail.append(A.one if monic else rand_invertible(rng, A, -2, 2))
+    if lead is None:
+        lead = A.one if monic else rand_invertible(rng, A, -2, 2)
+    tail.append(lead)
     c0 = A.zero
     power = A.one
     for c in tail:
@@ -233,6 +238,94 @@ def test_factors_match_sympy_over_rational_parameters():
     for degree in range(2, 9):
         for monic in (True, False):
             _check_companion_against_sympy(sympy, rng, A, degree, monic)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its arguments to the
+    returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_square_free_companions_skip_the_remainder_sequence(monkeypatch):
+    # R mod p square-free for a small good prime proves R square-free, so
+    # the primitive remainder sequence never runs on a square-free Phi
+    from octopoly import central
+
+    rng = random.Random(20261020)
+    algebras = [OctonionAlgebra(-1, -1, -1), OctonionAlgebra(-2, -3, -5)]
+    companions = []
+    for case in range(40):
+        A = algebras[case % 2]
+        phi = StandardPolynomial(
+            A, [rand_octonion(rng, A, -2, 2) for _ in range(2 + case % 9)] + [A.one]
+        )
+        companions.append(companion(phi))
+    square_free = []
+    for Phi in companions:  # gcd(R, R') by the sequence itself, before counting
+        R = central._primitive(over_common_denominator(Phi.coeffs)[0])
+        if len(central._primitive_gcd(R, [k * c for k, c in enumerate(R)][1:])) == 1:
+            square_free.append(Phi)
+    assert len(square_free) >= 30
+    calls = _count_calls(monkeypatch, central, "_primitive_gcd")
+    for Phi in square_free:
+        exact_quadratic_factors(Phi)
+    assert calls == []
+
+
+def test_repeated_factors_take_the_remainder_sequence(monkeypatch):
+    # no prime keeps a polynomial with a repeated factor square-free, so the
+    # search falls back to the primitive remainder sequence and still finds
+    # every factor with its multiplicity: (z^2 + 1)^2 (z - 3), and the
+    # companion phi^2 of a real-coefficient phi = (z - 2)(z^2 + 2z + 2)
+    from octopoly import central
+
+    calls = _count_calls(monkeypatch, central, "_primitive_gcd")
+    fact = exact_quadratic_factors(_cp(-3, 1, -6, 2, -3, 1))
+    assert [(f.coeffs, m) for f, m in fact.factors] == [
+        ((F(-3), F(1)), 1),
+        ((F(1), F(0), F(1)), 2),
+    ]
+    assert fact.remainder.coeffs == (F(1),)
+    assert len(calls) == 1
+    A = OctonionAlgebra(-1, -1, -1)
+    phi = parse_polynomial("z^3 - 2*z - 4", A)
+    fact = exact_quadratic_factors(companion(phi))
+    assert [(f.coeffs, m) for f, m in fact.factors] == [
+        ((F(-2), F(1)), 2),
+        ((F(2), F(2), F(1)), 2),
+    ]
+    assert fact.remainder.coeffs == (F(1),)
+    assert len(calls) == 2
+    rep = solve(phi)
+    assert [(c.trace, c.norm, r.status) for c, r in rep.classes] == [
+        (F(-2), F(2), FULL_CLASS),
+        (F(4), F(4), SINGLE_ROOT),
+    ]
+
+
+def test_factors_match_sympy_when_small_primes_divide_the_leading_coefficient(monkeypatch):
+    # Norm(c_n) = 122^2 + 11^2 + 3^2 + 1 = 15015 = 3*5*7*11*13 is the
+    # companion's leading coefficient, so the prime is at least 17
+    sympy = pytest.importorskip("sympy")
+    from octopoly import central
+
+    calls = _count_calls(monkeypatch, central, "_local_factors")
+    rng = random.Random(20261021)
+    A = OctonionAlgebra(-1, -1, -1)
+    lead = A.octonion([122, 11, 3, 1, 0, 0, 0, 0])
+    assert lead.norm() == 3 * 5 * 7 * 11 * 13
+    for degree in (2, 3, 5, 8):
+        _check_companion_against_sympy(sympy, rng, A, degree, False, lead)
+    assert len(calls) == 4
+    assert all(p >= 17 for _, p in calls)
 
 
 def test_factors_irreducible_quartic_remainder():

@@ -140,6 +140,32 @@ def test_class_witness_float(alg_float):
     assert class_witness(alg_float, -1.0, 0.0) is None  # negative pure norm
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_each_emitted_root_is_verified_once(mode, monkeypatch):
+    # resolve_class is the one place that verifies: every emitted root or
+    # witness is the argument of exactly one verify_root call, which it
+    # passed, and no other call is made
+    from octopoly import solver
+
+    calls = []
+
+    def counted(phi, lam):
+        ok = verify_root(phi, lam)
+        calls.append((lam, ok))
+        return ok
+
+    monkeypatch.setattr(solver, "verify_root", counted)
+    A = OctonionAlgebra(-1, -1, -1, mode=mode)
+    for text in ("i*z^2 + j*z + l", "z^2 + 1", "z^3 - 3*z^2 + 5*z - 6", "z^2 + i*z + (1 + k)"):
+        calls.clear()
+        rep = solve(parse_polynomial(text, A))
+        emitted = list(rep.roots) + [w for _, _, w in rep.full_classes]
+        assert emitted
+        assert len(calls) == len(emitted)
+        for x in emitted:
+            assert [ok for lam, ok in calls if lam is x] == [True]
+
+
 def test_verify_root_examples(alg):
     phi = parse_polynomial("i*z^2 + j*z + l", alg)
     assert verify_root(phi, alg.parse("1/2 + 1/2*k + 1/2*il + 1/2*jl"))
