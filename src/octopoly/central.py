@@ -200,15 +200,14 @@ def _local_factors(f, p):
             u = [-r % p, 1]
             linears.append(u)
             g = _divmod(g, u, p)[0]
-    if len(g) <= 4:
-        return linears + ([g] if len(g) == 3 else [])
-    z = [0, 1]
-    g2 = _monic_gcd(g, _add(_powmod(z, p * p, g, p), z, p, -1), p)
-    if len(g2) <= 3:
-        return linears + ([g2] if len(g2) == 3 else [])
-    import random  # only Cantor-Zassenhaus draws
+    if len(g) > 4:
+        z = [0, 1]
+        g = _monic_gcd(g, _add(_powmod(z, p * p, g, p), z, p, -1), p)
+        if len(g) > 3:
+            import random  # only Cantor-Zassenhaus draws
 
-    return linears + _split_quadratics(g2, p, random.Random(0))
+            return linears + _split_quadratics(g, p, random.Random(0))
+    return linears + ([g] if len(g) == 3 else [])
 
 
 def _newton_lift(S, u, p, m):

@@ -8,11 +8,12 @@ float64 kept it), and the storage of octonion
 coordinate vectors with their arithmetic (sum, difference, negation,
 scaling, conjugation, trace, the inner form, the companion coefficients,
 linear combinations and the product).  Exact mode stores a vector as 8
-ints over one positive denominator, kept canonical (gcd(den, n_0..n_7) = 1, zero over 1), so a
-product or sum costs one gcd instead of one per coordinate operation; its
-coordinates are exposed as reduced ``fractions.Fraction`` and every decision
-is exact.  Float mode stores a tuple of 8 ``float`` and routes every zero
-decision through one :class:`ToleranceSpec`.  A zero test takes its scale
+ints over one positive denominator, kept canonical (gcd(den, n_0..n_7) = 1,
+zero over 1), so a product or sum costs one gcd instead of one per
+coordinate operation; its coordinates are exposed as reduced
+``fractions.Fraction`` and every decision is exact.  Float mode stores a
+tuple of 8 ``float`` and routes every zero decision through one
+:class:`ToleranceSpec`.  A zero test takes its scale
 as a function that only the float backend calls, so the exact path never
 computes a scale.
 
@@ -20,7 +21,9 @@ Three kernels are written out straight-line.  ``multiplier`` compiles the
 product from the algebra's structure table once, one sum per output
 coordinate with its terms in the table's (a, b) order.  ``inner_form`` is
 the polar form <u,v> = sum_k q_k u_k v_k of the diagonal norm form, so
-Norm(x) = <x,x> and Tr(conj(x) y) = 2<x,y> need no product.  ``combine``
+Norm(x) = <x,x> and Tr(conj(x) y) = 2<x,y> need no product, and
+``companion_form`` sums those pairings into the companion polynomial's
+coefficients, on ints over one denominator in exact mode.  ``combine``
 forms sum_i s_i v_i in one pass, with one reduction in exact mode.  Float
 sums start at 0.0 and run in a fixed order (never ``sum()``, whose
 rounding changed in Python 3.12).
