@@ -28,7 +28,7 @@ try:
 except ImportError:
     sympy = None
 
-ALGEBRAS = ((-1, -1, -1), (-2, -3, -5))
+ALGEBRAS = ((-1, -1, -1), (-2, -3, -5), (Fraction(-1, 2), -3, Fraction(-5, 7)))
 DEGREES = range(2, 17)
 SEEDS = 5
 SPAN = 2

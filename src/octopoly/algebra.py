@@ -353,9 +353,11 @@ def conjugator(g, h):
     """A trace-zero delta with (delta*h)*delta^-1 == g.
 
     Requires ``same_class(g, h)`` in a division algebra.  When g != conj(h)
-    the choice is delta = g - conj(h); when g == conj(h) the first pure basis
-    element or pairwise basis sum orthogonal to g (and of nonzero norm) is
-    returned, which keeps the output deterministic.  For central g == h any
+    the choice is delta = g - conj(h).  When g == conj(h) is not central,
+    delta is pure and orthogonal to g, so it anticommutes with g's pure part:
+    the first e_k with <g, e_k> = 2 q_k g_k zero, else the closed form
+    q_2 g_2 e_1 - q_1 g_1 e_2 of norm q_1 q_2 (q_2 g_2^2 + q_1 g_1^2), which
+    vanishes (ValueError) only in a split algebra.  For central g == h any
     delta works and 1 is returned.
     """
     g.algebra.check_same(h.algebra)
@@ -372,12 +374,11 @@ def conjugator(g, h):
     # g == conj(h); central g means g == h and anything conjugates.
     if g.is_central():
         return alg.one
-    candidates = [alg.basis_element(k) for k in range(1, 8)]
-    for a in range(1, 8):
-        for b in range(a + 1, 8):
-            candidates.append(alg.basis_element(a) + alg.basis_element(b))
-    for delta in candidates:
-        pairing = bilinear_form(g, delta)
-        if alg.backend.is_zero(pairing, scale) and not alg.backend.is_zero(delta.norm()):
-            return delta
-    raise ValueError("no conjugating element found")  # unreachable in a division algebra
+    for k in range(1, 8):
+        if alg.backend.is_zero(bilinear_form(g, alg.basis_element(k)), scale):
+            return alg.basis_element(k)
+    q, c = alg.norm_coeffs, g.coords
+    delta = alg.octonion([0, q[2] * c[2], -q[1] * c[1], 0, 0, 0, 0, 0])
+    if alg.backend.is_zero(delta.norm(), lambda: delta.max_abs() ** 2):
+        raise ValueError("no conjugating element found")  # delta is isotropic
+    return delta

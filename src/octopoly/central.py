@@ -169,19 +169,26 @@ class ExactFactorization(
     __slots__ = ()
 
 
-def _split_quadratics(g, p, rng):
+def _split_quadratics(g, p):
     """The monic irreducible factors of g, a product of distinct monic
-    irreducible quadratics over F_p, p odd (Cantor-Zassenhaus)."""
-    if len(g) <= 3:
-        return [g]
-    while True:
-        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
-        b = _add(_powmod(a, (p * p - 1) // 2, g, p), [1], p, -1)
-        u = _monic_gcd(g, b, p)
-        if 1 < len(u) < len(g):
-            return _split_quadratics(u, p, rng) + _split_quadratics(
-                _divmod(g, u, p)[0], p, rng
-            )
+    irreducible quadratics over F_p, p odd: Cantor-Zassenhaus by the gcds of
+    g with (z + s)^((p^2 - 1)/2) - 1 for s = 0, 1, ..., p - 1.  Mod an
+    irreducible quadratic f that power is the Legendre symbol of f(-s), the
+    norm of z + s, so f_1 and f_2 part at each s with f_1(-s) f_2(-s) a
+    non-square.  Some s < p is one: for p >= 11 by Weil's bound 3 sqrt(p) < p
+    on the character sum of the root-free quartic f_1 f_2, and for p <= 23
+    by a check of every pair."""
+    parts, e = [g], (p * p - 1) // 2
+    for s in range(p):
+        b = _add(_powmod([s, 1], e, g, p), [1], p, -1)
+        split = []
+        for u in parts:
+            v = _monic_gcd(u, b, p)
+            split += [v, _divmod(u, v, p)[0]] if 1 < len(v) < len(u) else [u]
+        parts = split
+        if 2 * len(parts) == len(g) - 1:
+            return parts
+    raise ArithmeticError("no shift z + s splits the quadratic factors mod %d" % p)
 
 
 def _local_factors(f, p):
@@ -189,8 +196,7 @@ def _local_factors(f, p):
     square-free f over F_p.  The linears are z - r for the residues r with
     f(r) = 0.  The quadratics divide the root-free rest g: g itself when
     deg g = 2, none when deg g = 3, and otherwise the factors of
-    gcd(g, z^(p^2) - z), split by Cantor-Zassenhaus when there are two or
-    more."""
+    gcd(g, z^(p^2) - z), split by ``_split_quadratics``."""
     values = [0] * p  # f at every residue, by Horner's rule on them all
     for c in reversed(f):
         values = [(v * r + c) % p for r, v in enumerate(values)]
@@ -203,10 +209,7 @@ def _local_factors(f, p):
     if len(g) > 4:
         z = [0, 1]
         g = _monic_gcd(g, _add(_powmod(z, p * p, g, p), z, p, -1), p)
-        if len(g) > 3:
-            import random  # only Cantor-Zassenhaus draws
-
-            return linears + _split_quadratics(g, p, random.Random(0))
+        return linears + (_split_quadratics(g, p) if len(g) > 1 else [])
     return linears + ([g] if len(g) == 3 else [])
 
 
@@ -297,25 +300,19 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
     The search is complete (small-prime Zassenhaus method, von zur Gathen &
     Gerhard, Modern Computer Algebra, ch. 14-15) and runs on integer
     polynomials throughout.  R is the primitive integer form of Phi.  Its
-    square-free part S is R itself when R mod p is square-free for one of
-    the first few odd primes p not dividing lc(R), tried in increasing
-    order: a repeated factor over Q would stay repeated mod p.  Otherwise
-    S = R / gcd(R, R'), the gcd taken by a primitive pseudo-remainder
-    sequence.  Either way p is the smallest odd prime with p not dividing
-    lc(S) and S mod p square-free.  Over F_p, with S made monic, the linear
-    factors are z - r for the residues r where S vanishes, and the
-    quadratic factors divide the root-free rest g: g itself when it has
-    degree 2, none when it has degree 3, and otherwise the factors of
-    gcd(g, z^(p^2) - z), split by Cantor-Zassenhaus when there are two or
-    more.  These are lifted by p-adic Newton iteration to the first
-    m = p^(2^j) > 4 (floor(||S||_2) + 1).  Every integer factor F of S of
-    degree <= 2 has lc(S)/lc(F) F congruent mod m to lc(S) times a lifted
-    factor or a product of two lifted linears, and its coefficients are
-    below 2 ||S||_2 < m/2 in absolute value (Mignotte), so the symmetric
-    residue recovers it.  Each candidate, made primitive, is confirmed by
-    exact integer division of R, repeated for its multiplicity; a division
-    stops at the first leading term that does not divide.  The remainder is
-    what is left of R, rescaled to Phi's leading coefficient.
+    square-free part S is R itself when ``_square_free_mod_p`` finds R mod p
+    square-free at one of the first few odd primes p not dividing lc(R);
+    otherwise S = R / gcd(R, R'), the gcd taken by a primitive
+    pseudo-remainder sequence, and p is the smallest good prime for S.  The
+    monic factors of degree <= 2 of S mod p (``_local_factors``) are lifted by
+    p-adic Newton iteration to the first m = p^(2^j) > 4 (floor(||S||_2) + 1).
+    Every integer factor F of S of degree <= 2 has lc(S)/lc(F) F congruent mod
+    m to lc(S) times a lifted factor or a product of two lifted linears, and
+    its coefficients are below 2 ||S||_2 < m/2 in absolute value (Mignotte),
+    so the symmetric residue recovers it.  Each candidate, made primitive, is
+    confirmed by exact integer division of R, repeated for its multiplicity; a
+    division stops at the first leading term that does not divide.  The
+    remainder is what is left of R, rescaled to Phi's leading coefficient.
     """
     if not all(isinstance(c, (int, Fraction)) for c in Phi.coeffs):
         raise ValueError("exact_quadratic_factors needs exact-rational coefficients")

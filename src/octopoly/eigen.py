@@ -18,9 +18,8 @@ import itertools
 from collections import namedtuple
 
 from .algebra import Octonion
-from .central import central_roots
-from .polynomials import StandardPolynomial, companion, eg_sequence, reduce_to_linear
-from .solver import class_embeds, verify_root
+from .polynomials import StandardPolynomial, eg_sequence, reduce_to_linear
+from .solver import class_embeds, companion_classes, verify_root
 
 
 class Side(enum.Enum):
@@ -148,12 +147,9 @@ def rev_classes(phi: StandardPolynomial):
     the union of these classes."""
     if not phi.is_monic():
         raise ValueError("rev_classes requires a monic polynomial")
-    Phi = companion(phi)
-    phi.algebra.backend.check_companion(Phi, phi.degree)
-    found = central_roots(Phi, tol=phi.algebra.tol)
     return [
         cand
-        for cand in found.candidates
+        for cand in companion_classes(phi)[1].candidates
         if cand.field_degree == 1 or class_embeds(phi.algebra, cand.norm, cand.trace)
     ]
 

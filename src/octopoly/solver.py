@@ -211,6 +211,13 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
     return ClassResolution(NOT_EMBEDDABLE)
 
 
+def companion_classes(phi: StandardPolynomial):
+    """The companion polynomial of phi, checked, and its central_roots."""
+    Phi = companion(phi)
+    phi.algebra.backend.check_companion(Phi, phi.degree)
+    return Phi, central_roots(Phi, tol=phi.algebra.tol)
+
+
 def solve(phi: StandardPolynomial) -> RootReport:
     """Find all roots of a nonconstant polynomial over a division algebra.
 
@@ -232,9 +239,7 @@ def solve(phi: StandardPolynomial) -> RootReport:
             "the algebra is split (%s); roots are only classified over "
             "division algebras" % why
         )
-    Phi = companion(phi)
-    alg.backend.check_companion(Phi, phi.degree)
-    found = central_roots(Phi, tol=alg.tol)
+    Phi, found = companion_classes(phi)
     warnings = list(found.warnings)
     if found.discarded_degree:
         warnings.append(

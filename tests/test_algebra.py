@@ -207,6 +207,59 @@ def test_conjugator_random(alg, rng):
         assert (d * h) * d.inverse() == g
 
 
+def _conjugates_to(d, h, g):
+    """Whether (d h) d^-1 == g: exactly, or at g's scale in float mode."""
+    return ((d * h) * d.inverse() - g).is_zero(lambda: max(1.0, g.max_abs()))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("params", [(-1, -1, -1), (-2, -3, -5)])
+@pytest.mark.parametrize(
+    "text", ["1 + i + j + k + l + il + jl + kl", "i + 2*j + 3*k + 4*l + 5*il + 6*jl + 7*kl"]
+)
+def test_conjugator_of_the_conjugate_with_no_zero_pure_coordinate(text, params, mode):
+    # no pure basis element is orthogonal to g, so the closed form
+    # delta = q_2 g_2 e_1 - q_1 g_1 e_2 conjugates conj(g) to g
+    A = OctonionAlgebra(*params, mode=mode)
+    g = A.parse(text)
+    d = conjugator(g, g.conj())
+    q, c = A.norm_coeffs, g.coords
+    assert d == A.octonion([0, q[2] * c[2], -q[1] * c[1], 0, 0, 0, 0, 0])
+    assert d.trace() == 0
+    assert _conjugates_to(d, g.conj(), g)
+
+
+def test_conjugator_of_the_conjugate_seeded():
+    # 250 non-central g per algebra and mode, half of them with no zero
+    # pure coordinate, conjugated from h = conj(g)
+    rng = random.Random(20261019)
+    for params in ((-1, -1, -1), (-2, -3, -5)):
+        for mode in ("exact", "float"):
+            A = OctonionAlgebra(*params, mode=mode)
+            for case in range(250):
+                coords = [rng.randint(-5, 5) for _ in range(8)]
+                if case % 2:
+                    coords[1:] = [x or rng.choice((-1, 1)) for x in coords[1:]]
+                if not any(coords[1:]):
+                    coords[rng.randint(1, 7)] = 1
+                g = A.octonion(coords)
+                d = conjugator(g, g.conj())
+                assert d.trace() == 0
+                assert _conjugates_to(d, g.conj(), g)
+
+
+def test_conjugator_raises_only_on_an_isotropic_closed_form():
+    # over (-1, 1, -1), q_1 = 1 and q_2 = -1, so for g_1 = g_2 = 1 the
+    # closed form -e_1 - e_2 has norm 0
+    A = OctonionAlgebra(-1, 1, -1)
+    g = A.parse("1 + i + j + k + l + il + jl + kl")
+    with pytest.raises(ValueError, match="no conjugating element found"):
+        conjugator(g, g.conj())
+    g = A.parse("1 + i + 2*j + k + l + il + jl + kl")
+    d = conjugator(g, g.conj())
+    assert _conjugates_to(d, g.conj(), g)
+
+
 def test_conjugator_requires_same_class(alg):
     with pytest.raises(ValueError):
         conjugator(alg.basis_element(1), alg.one)

@@ -1,6 +1,7 @@
 """Central (companion) polynomial roots: exact factor extraction, the float
 root finder, and candidate bookkeeping."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -326,6 +327,31 @@ def test_factors_match_sympy_when_small_primes_divide_the_leading_coefficient(mo
         _check_companion_against_sympy(sympy, rng, A, degree, False, lead)
     assert len(calls) == 4
     assert all(p >= 17 for _, p in calls)
+
+
+def _irreducible_quadratics(p):
+    """Every monic irreducible quadratic z^2 + a z + b over F_p, p odd, as
+    the list [b, a, 1]: those whose discriminant a^2 - 4b is a non-square."""
+    squares = {x * x % p for x in range(p)}
+    return [[b, a, 1] for a in range(p) for b in range(p) if (a * a - 4 * b) % p not in squares]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_split_quadratics_separates_every_pair(p):
+    # the shifts z + s, s < p, separate every pair of distinct irreducible
+    # quadratics: Weil's bound proves it for p >= 11, and this checks every
+    # pair up to p = 23 (every triple up to p = 7)
+    from octopoly import central
+
+    quadratics = _irreducible_quadratics(p)
+    assert len(quadratics) == (p * p - p) // 2
+    sizes = (2, 3) if p <= 7 else (2,)
+    for size in sizes:
+        for factors in itertools.combinations(quadratics, size):
+            g = factors[0]
+            for f in factors[1:]:
+                g = central._mul(g, f, p)
+            assert sorted(central._split_quadratics(g, p)) == sorted(factors)
 
 
 def test_factors_irreducible_quartic_remainder():

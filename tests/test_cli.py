@@ -426,8 +426,7 @@ def test_cli_default_tolerance_in_float_json(capsys):
 
 def test_cli_import_skips_dataclasses():
     # start-up cost: dataclasses and the modules it pulls in (inspect, ast,
-    # dis, tokenize) take about a third of the CLI's import time; random is
-    # imported only when the exact factor search splits quadratics mod p
+    # dis, tokenize) take about a third of the CLI's import time
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "random")
     code = "import sys, octopoly.cli; print(*[m for m in %r if m in sys.modules])" % (heavy,)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -440,6 +439,26 @@ def test_cli_import_skips_dataclasses():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
+
+
+def test_cli_golden_query_never_imports_random():
+    # the companion z^4 + z^2 + 1 of the README query splits into two
+    # quadratics mod 5; the exact factor search separates them by shifts
+    code = (
+        "import sys, octopoly.cli; rc = octopoly.cli.main(%r); "
+        "print(rc, 'random' in sys.modules, file=sys.stderr)"
+        % (["solve", "--poly", "i*z^2 + j*z + l"],)
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.split() == ["0", "False"]
 
 
 def test_cli_float_mode(capsys):
