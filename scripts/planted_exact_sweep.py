@@ -8,7 +8,10 @@ in [-2, 2], c_0 = -sum_i c_i lambda^i) and solved in exact mode.  A case is
 class, ``lost`` when neither holds, and ``error`` on any exception.  When
 sympy is installed, the factors of degree <= 2 of the companion found by
 ``exact_quadratic_factors`` are also compared with ``sympy.factor_list``
-(with the degree of the rest); a difference is ``mismatch``.
+(with the degree of the rest); a difference is ``mismatch``.  For a monic
+polynomial lambda is also tested as a left and a right eigenvalue of the
+companion matrix, each side counted as in the planted float sweep: ``pair``
+when the eigenvector verifies, ``lost`` otherwise.
 
 Run:  PYTHONPATH=src python3 scripts/planted_exact_sweep.py
 It prints the counts per cell, the totals and the slowest solve; the exit
@@ -22,6 +25,7 @@ from collections import Counter
 from fractions import Fraction
 
 from octopoly import OctonionAlgebra, StandardPolynomial, exact_quadratic_factors, solve
+from planted_float_sweep import eigen_outcomes
 
 try:
     import sympy
@@ -102,6 +106,8 @@ def main():
                     phi, lam = planted(rng, A, degree, monic)
                     result, elapsed = outcome(phi, lam)
                     cell[result] += 1
+                    if monic:
+                        cell.update(eigen_outcomes(phi, lam))
                     label = "%s deg %d %s seed %d" % (params, degree, "monic" if monic else "non-monic", seed)
                     worst = max(worst, (elapsed, label))
                 total.update(cell)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import NumericFailureError
 from .polynomials import CentralPolynomial
-from .scalars import FLOAT, ToleranceSpec, backend_for, over_common_denominator
+from .scalars import ToleranceSpec, backend_for, over_common_denominator
 
 _ABERTH_MAX_ITER = 200
 _SQUARE_FREE_TRIES = 6  # odd primes p not dividing lc(R) tried before the PRS
@@ -355,19 +355,23 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
 # ---------------------------------------------------------------------------
 
 
-def _scale(b, r):
-    """sum_k |b_k| |r|^k; times len(b) * _EPS it bounds Horner's error."""
-    s = 0.0
+def _horner(b, z):
+    """(p(z), p'(z), sum_k |b_k| |z|^k) by one pass over b_0..b_n; the last
+    times len(b) * _EPS bounds the rounding error of p(z)."""
+    p = dp = 0j
+    s, r = 0.0, abs(z)
     for c in reversed(b):
-        s = s * abs(r) + abs(c)
-    return s
+        dp = dp * z + p
+        p = p * z + c
+        s = s * r + abs(c)
+    return p, dp, s
 
 
-def _aberth(poly):
-    """Approximations to all roots of a float polynomial with b_0 != 0:
+def _aberth(b):
+    """Approximations to all roots of b_0 + ... + b_n z^n with b_0 != 0:
     Aberth-Ehrlich iteration from the circle of the Fujiwara bound, until
     every |p(z_i)| is below its rounding bound, then one Newton polish."""
-    b, n = poly.coeffs, poly.degree
+    n = len(b) - 1
     radius = 2 * max(
         abs(b[n - k] / b[n] / (2 if k == n else 1)) ** (1 / k) for k in range(1, n + 1)
     )
@@ -375,8 +379,8 @@ def _aberth(poly):
     for _ in range(_ABERTH_MAX_ITER):
         moved = False
         for i in range(n):
-            p, dp = poly.value_and_derivative(z[i])
-            if abs(p) > len(b) * _EPS * _scale(b, z[i]):
+            p, dp, scale = _horner(b, z[i])
+            if abs(p) > len(b) * _EPS * scale:
                 s = p * sum(1 / (z[i] - w) for w in z if w != z[i])
                 if dp != s:
                     z[i] -= p / (dp - s)
@@ -384,7 +388,7 @@ def _aberth(poly):
         if not moved:
             break
     for i in range(n):
-        p, dp = poly.value_and_derivative(z[i])
+        p, dp, _ = _horner(b, z[i])
         if dp != 0:
             z[i] -= p / dp
     return z
@@ -408,17 +412,18 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     two differ in size.
     """
     tol = tol or ToleranceSpec()
-    b = CentralPolynomial([float(c) for c in coeffs], FLOAT).coeffs
+    b = _trim([float(c) for c in coeffs])
     if len(b) < 2:
         raise ValueError("numeric_roots needs degree >= 1")
     zeros = next(k for k, c in enumerate(b) if c != 0)
-    poly = CentralPolynomial(b[zeros:], FLOAT)
-    b, n = poly.coeffs, poly.degree
-    z = _aberth(poly) if n else []
-    residuals = [abs(poly(r)) for r in z]
+    b = b[zeros:]
+    n = len(b) - 1
+    z = _aberth(b) if n else []
+    values = [_horner(b, r) for r in z]
+    residuals = [abs(p) for p, _, _ in values]
     radii = []
     for i, r in enumerate(z):
-        scale, res = _scale(b, r), residuals[i]
+        res, scale = residuals[i], values[i][2]
         bound = tol.abs_eps + tol.rel_eps * scale
         if not res <= bound:
             why = "root finder residual %.3e exceeds bound %.3e" % (res, bound)
@@ -441,12 +446,11 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
         disc = max(abs(z[i] - c) + radii[i] for i in members)
         if abs(c.imag) <= disc:
             c = complex(c.real, 0.0)
-        deriv = b
+        deriv, w = b, c
         for _ in range(k - 1):
             deriv = [j * d for j, d in enumerate(deriv)][1:]
-        deriv, w = CentralPolynomial(deriv, FLOAT), c
         for _ in range(3):
-            p, dp = deriv.value_and_derivative(w)
+            p, dp = _horner(deriv, w)[:2]
             w -= p / dp if dp else 0
         clusters.append((w if abs(w - c) <= disc else c, k))
 

@@ -14,11 +14,10 @@ therefore replaces any search over twists.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import namedtuple
 
 from .algebra import Octonion
-from .polynomials import StandardPolynomial, eg_sequence, reduce_to_linear
+from .polynomials import StandardPolynomial, reduce_to_linear
 from .solver import class_embeds, companion_classes, verify_root
 
 
@@ -72,7 +71,9 @@ class MembershipReport(
 def _membership(phi, lam, side):
     """Kernel of gamma -> sum_i c_i (lam^i gamma) (left) or
     sum_i c_i (gamma lam^i) (right), built as E act(gamma) + G gamma from
-    lam^i = e_i lam + g_i on lam's class."""
+    lam^i = e_i lam + g_i on lam's class.  By Artin's theorem lam and gamma
+    generate an associative subalgebra, so the eigenvector entry lam^i gamma
+    (gamma lam^i) is act applied i times to gamma."""
     if not phi.is_monic():
         raise ValueError("eigenvalue tests require a monic polynomial")
     phi.algebra.check_same(lam.algebra)
@@ -90,11 +91,10 @@ def _membership(phi, lam, side):
     kernel = alg.backend.nullspace(cols)
     if kernel is None:
         return MembershipReport(False)
-    gamma = alg.octonion(kernel)
-    moved = act(gamma)
-    eg = itertools.islice(eg_sequence(norm, trace, alg._zero, alg._one), phi.degree)
-    vec = tuple(moved * e_i + gamma * g_i for e_i, g_i in eg)
-    return MembershipReport(True, kernel_element=gamma, eigenvector=vec)
+    vec = [alg.octonion(kernel)]
+    for _ in range(phi.degree - 1):
+        vec.append(act(vec[-1]))
+    return MembershipReport(True, kernel_element=vec[0], eigenvector=tuple(vec))
 
 
 def lev_test(phi: StandardPolynomial, lam: Octonion) -> MembershipReport:

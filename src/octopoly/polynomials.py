@@ -97,14 +97,6 @@ class CentralPolynomial:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def value_and_derivative(self, z):
-        """(p(z), p'(z)) at a complex z by one joint Horner pass."""
-        p = dp = 0j
-        for c in reversed(self.coeffs):
-            dp = dp * z + p
-            p = p * z + c
-        return p, dp
-
     def __eq__(self, other):
         if not isinstance(other, CentralPolynomial):
             return NotImplemented

@@ -104,15 +104,19 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
     half_t = trace / 2
     s = norm - half_t * half_t
     q = algebra.norm_coeffs
+
+    def witness(parts):
+        coords = [half_t] + [algebra._zero] * 7
+        for k, x in parts:
+            coords[k] = x
+        return algebra.octonion(coords)
+
     if algebra.backend.is_zero(s, lambda: max(1.0, abs(norm), trace * trace)):
-        return algebra.scalar_octonion(half_t)
+        return witness(())
     for k in range(1, 8):
         r = algebra.backend.sqrt(s / q[k])
         if r is not None:
-            coords = [algebra._zero] * 8
-            coords[0] = half_t
-            coords[k] = r
-            return algebra.octonion(coords)
+            return witness([(k, r)])
     if not class_embeds(algebra, norm, trace):
         return None
     tried = set()  # binary forms (q_a, q_b) already searched in vain
@@ -128,20 +132,12 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
                 rest = (s - q[a] * t_a * t_a) / q[b]
                 t_b = algebra.backend.sqrt(rest)
                 if t_b is not None:
-                    coords = [Fraction(0)] * 8
-                    coords[0] = half_t
-                    coords[a] = t_a
-                    coords[b] = t_b
-                    return algebra.octonion(coords)
+                    return witness([(a, t_a), (b, t_b)])
     for size in range(2, 8):
         for subset in itertools.combinations(range(1, 8), size):
             t = algebra.backend.sqrt(s / sum(q[k] for k in subset))
             if t is not None:
-                coords = [algebra._zero] * 8
-                coords[0] = half_t
-                for k in subset:
-                    coords[k] = t
-                return algebra.octonion(coords)
+                return witness((k, t) for k in subset)
     return None
 
 

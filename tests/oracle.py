@@ -61,6 +61,24 @@ def loop_product(table, xs, ys):
     return tuple(out)
 
 
+def horner_loops(b, z):
+    """The float root finder's former three evaluations of b_0..b_n at a
+    complex z, one loop each: (p(z), p'(z)) by a joint Horner pass from 0j,
+    p(z) again by Horner from the int 0, and the rounding scale
+    sum_k |b_k| |z|^k.  The reference order of ``central._horner``."""
+    p = dp = 0j
+    for c in reversed(b):
+        dp = dp * z + p
+        p = p * z + c
+    value = 0
+    for c in reversed(b):
+        value = value * z + c
+    scale = 0.0
+    for c in reversed(b):
+        scale = scale * abs(z) + abs(c)
+    return p, dp, value, scale
+
+
 def rand_coords(rng, lo=-9, hi=9, max_den=1):
     return tuple(
         Fraction(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(8)

@@ -23,8 +23,10 @@ from octopoly import (
     parse_polynomial,
     solve,
 )
+from octopoly.central import _horner
 from octopoly.scalars import over_common_denominator
 from conftest import rand_invertible, rand_octonion
+from oracle import horner_loops
 
 F = Fraction
 
@@ -497,12 +499,37 @@ def test_numeric_roots_conjugate_symmetry(rng):
 
 
 def test_numeric_roots_degree_errors():
-    with pytest.raises(ValueError):
-        numeric_roots([1.0])
+    for coeffs in ([1.0], [], [0.0, 0.0]):
+        with pytest.raises(ValueError):
+            numeric_roots(coeffs)
     # a negligible leading coefficient is no failure: 1 + 1e-30 z has the
     # root -1e30
     (root,) = numeric_roots([1.0, 1e-30])
     assert root == pytest.approx((-1e30, 0.0))
+
+
+def _bits(x):
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+def test_horner_matches_the_three_reference_loops_bit_for_bit():
+    # value, derivative and rounding scale in one pass, in the operation
+    # order of the separate loops; zero and tiny coefficients included
+    rng = random.Random(16)
+    pool = [0.0, -0.0, 1e-300, -5e-324, 1e-30, 1.0, -2.5, 1e30]
+    for _ in range(500):
+        b = [
+            rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-10, 10)
+            for _ in range(rng.randint(1, 18))
+        ]
+        mag = 10.0 ** rng.uniform(-8, 8)
+        z = complex(rng.uniform(-mag, mag), rng.choice([0.0, rng.uniform(-mag, mag)]))
+        p, dp, scale = _horner(b, z)
+        ref_p, ref_dp, ref_value, ref_scale = horner_loops(b, z)
+        assert _bits(p) == _bits(ref_p) == _bits(ref_value)
+        assert _bits(dp) == _bits(ref_dp)
+        assert scale.hex() == ref_scale.hex()
 
 
 def test_numeric_roots_failure_carries_residuals():

@@ -1,5 +1,6 @@
 """Companion matrices and left/right eigenvalue machinery."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from octopoly import (
     twist_two_sided,
     verify_eigen_pair,
 )
+from octopoly.polynomials import eg_sequence
 from conftest import rand_invertible, rand_octonion
 
 F = Fraction
@@ -316,3 +318,37 @@ def test_planted_memberships_generic_algebra(mode):
 
         assert not alg.backend.all_zero(Phi(other).coords, scale)
         assert not rev_test(phi, other).member
+
+
+@pytest.mark.parametrize("params", [(-1, -1, -1), (-2, -3, -5)])
+def test_eigenvector_equals_the_reduced_powers(params):
+    # the eigenvector entry lam^i gamma (left) or gamma lam^i (right) equals
+    # e_i act(gamma) + g_i gamma, its reduction on lam's class; checked on
+    # planted roots, on conjugates of them (right) and on left-eigenvalue
+    # class points (left)
+    alg = OctonionAlgebra(*params)
+    rng = random.Random(16)
+    for deg in (2, 3, 3, 4, 5, 6):
+        lam = rand_octonion(rng, alg, -2, 2)
+        tail = [rand_octonion(rng, alg, -2, 2) for _ in range(deg - 1)] + [alg.one]
+        c0, power = alg.zero, alg.one
+        for c in tail:
+            power = lam * power
+            c0 = c0 + c * power
+        phi = StandardPolynomial(alg, [-c0] + tail)
+        trace, norm = lam.invariants()
+        g = rand_invertible(rng, alg, -2, 2)
+        d = rand_invertible(rng, alg, -2, 2)
+        points = [
+            (Side.LEFT, lam),
+            (Side.LEFT, lev_class_point(phi, norm, trace, g)),
+            (Side.RIGHT, lam),
+            (Side.RIGHT, (d * lam) * d.inverse()),
+        ]
+        for side, point in points:
+            rep = (lev_test if side == Side.LEFT else rev_test)(phi, point)
+            assert rep.member
+            gamma = rep.kernel_element
+            moved = point * gamma if side == Side.LEFT else gamma * point
+            eg = itertools.islice(eg_sequence(norm, trace, 0, 1), deg)
+            assert rep.eigenvector == tuple(moved * e_i + gamma * g_i for e_i, g_i in eg)
