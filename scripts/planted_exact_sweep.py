@@ -9,9 +9,11 @@ class, ``lost`` when neither holds, and ``error`` on any exception.  When
 sympy is installed, the factors of degree <= 2 of the companion found by
 ``exact_quadratic_factors`` are also compared with ``sympy.factor_list``
 (with the degree of the rest); a difference is ``mismatch``.  For a monic
-polynomial lambda is also tested as a left and a right eigenvalue of the
-companion matrix, each side counted as in the planted float sweep: ``pair``
-when the eigenvector verifies, ``lost`` otherwise.
+polynomial, lambda, a left-eigenvalue point of its class that is not a
+root and a conjugate of lambda are also tested as left and right
+eigenvalues of the companion matrix, counted as in the planted float sweep
+(``eigen_outcomes``): ``pair`` when a member's eigenvector verifies,
+``off`` for a conjugate that is no left eigenvalue, ``lost`` otherwise.
 
 Run:  PYTHONPATH=src python3 scripts/planted_exact_sweep.py
 It prints the counts per cell, the totals and the slowest solve; the exit
@@ -107,7 +109,7 @@ def main():
                     result, elapsed = outcome(phi, lam)
                     cell[result] += 1
                     if monic:
-                        cell.update(eigen_outcomes(phi, lam))
+                        cell.update(eigen_outcomes(phi, lam, rng))
                     label = "%s deg %d %s seed %d" % (params, degree, "monic" if monic else "non-monic", seed)
                     worst = max(worst, (elapsed, label))
                 total.update(cell)

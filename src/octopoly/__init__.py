@@ -8,6 +8,8 @@ matrix of a monic polynomial.  A CLI (``octopoly solve`` / ``octopoly
 eigen``) fronts the same machinery with JSON reports.
 """
 
+import types
+
 from .algebra import (
     DIVISION,
     SPLIT,
@@ -76,63 +78,5 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CentralPolynomial",
-    "CentralRoots",
-    "ClassCandidate",
-    "ClassResolution",
-    "CompanionMatrix",
-    "ConfigurationError",
-    "DivisionCheck",
-    "DIVISION",
-    "EXACT",
-    "ExactFactorization",
-    "FLOAT",
-    "FULL_CLASS",
-    "MembershipReport",
-    "NO_ROOT_IN_CLASS",
-    "NOT_EMBEDDABLE",
-    "NumericFailureError",
-    "Octonion",
-    "OctonionAlgebra",
-    "OctopolyError",
-    "ParseError",
-    "ReducedLinearForm",
-    "RootReport",
-    "SINGLE_ROOT",
-    "SPLIT",
-    "Side",
-    "SingularElementError",
-    "StandardPolynomial",
-    "ToleranceSpec",
-    "UNDETERMINED",
-    "UnsupportedAlgebraError",
-    "bilinear_form",
-    "central_roots",
-    "class_witness",
-    "companion",
-    "companion_matrix",
-    "conjugator",
-    "eg_coeffs",
-    "eval_at",
-    "exact_quadratic_factors",
-    "format_octonion",
-    "format_polynomial",
-    "lev_class_point",
-    "lev_test",
-    "numeric_roots",
-    "parse_octonion",
-    "parse_polynomial",
-    "reduce_to_linear",
-    "resolve_class",
-    "rev_class_point",
-    "rev_classes",
-    "rev_test",
-    "same_class",
-    "solve",
-    "subalgebra_lev_check",
-    "twist_left",
-    "twist_two_sided",
-    "verify_eigen_pair",
-    "verify_root",
-]
+# every name imported above, and no submodule
+__all__ = [k for k, v in globals().items() if k[0] != "_" and not isinstance(v, types.ModuleType)]

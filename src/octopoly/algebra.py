@@ -68,9 +68,8 @@ class OctonionAlgebra:
             -self._table[k][k][0] for k in range(1, 8)
         )
         self._mul = self.backend.multiplier(self._table)
-        # the polar form <x,y> of the norm form: N(x) = <x,x>, Tr(conj(x) y) = 2<x,y>
-        self._inner = self.backend.inner_form(self.norm_coeffs)
-        self._companion = self.backend.companion_form(self.norm_coeffs)
+        # its polar form <x,y>: N(x) = <x,x>, Tr(conj(x) y) = 2<x,y>
+        self.backend.norm_form(self.norm_coeffs)
         self._basis = tuple(
             self.octonion([self._one if t == k else self._zero for t in range(8)])
             for k in range(8)
@@ -294,7 +293,7 @@ class Octonion:
 
     def norm(self):
         """Value of the diagonal norm form, <x,x>; equals (conj(x) * x)_0."""
-        return self.algebra._inner(self.vec, self.vec)
+        return self.algebra.backend.inner(self.vec, self.vec)
 
     def invariants(self):
         """The central pair (trace, norm); conjugation-invariant."""
@@ -305,10 +304,11 @@ class Octonion:
         return self.algebra.octonion((0,) + self.coords[1:])
 
     def inverse(self):
-        n = self.norm()
-        if self.algebra.backend.is_zero(n, lambda: self.max_abs() ** 2):
+        """conj(x) / Norm(x); SingularElementError when the norm is (numerically) 0."""
+        vec = self.algebra.backend.inverse(self.vec, lambda: self.max_abs() ** 2)
+        if vec is None:
             raise SingularElementError("element has (numerically) zero norm")
-        return self.conj() / n
+        return Octonion(self.algebra, vec)
 
     def is_zero(self, scale=None):
         """Zero by the backend's test: exactly in exact mode, at the scale
@@ -331,7 +331,7 @@ def bilinear_form(x, y):
     """Polarization of the norm form: <x,y> = Tr(conj(x) y) = N(x+y) - N(x) -
     N(y), which is 2 sum_k q_k x_k y_k on the stored vectors."""
     x.algebra.check_same(y.algebra)
-    return 2 * x.algebra._inner(x.vec, y.vec)
+    return 2 * x.algebra.backend.inner(x.vec, y.vec)
 
 
 def same_class(x, y):

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import NumericFailureError
 from .polynomials import CentralPolynomial
-from .scalars import ToleranceSpec, backend_for, over_common_denominator
+from .scalars import EXACT, ToleranceSpec, backend_for
 
 _ABERTH_MAX_ITER = 200
 _SQUARE_FREE_TRIES = 6  # odd primes p not dividing lc(R) tried before the PRS
@@ -313,13 +313,14 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
     confirmed by exact integer division of R, repeated for its multiplicity; a
     division stops at the first leading term that does not divide.  The
     remainder is what is left of R, rescaled to Phi's leading coefficient.
+    Every polynomial here is held in integer form, so no Fraction is built.
     """
-    if not all(isinstance(c, (int, Fraction)) for c in Phi.coeffs):
+    if Phi.ints is None:
         raise ValueError("exact_quadratic_factors needs exact-rational coefficients")
-    coeffs = [Fraction(c) for c in Phi.coeffs]
-    if len(coeffs) < 2:
-        return ExactFactorization((), CentralPolynomial(coeffs))
-    R = _primitive(over_common_denominator(coeffs)[0])
+    nums, den = Phi.ints
+    if len(nums) < 2:
+        return ExactFactorization((), CentralPolynomial(nums, EXACT, den))
+    R = _primitive(list(nums))
     found = _square_free_mod_p(R, _SQUARE_FREE_TRIES)
     S = R
     if found is None:  # most likely R has a repeated factor
@@ -341,13 +342,19 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
             R = Q
             mult += 1
         if mult:
-            factors.append((CentralPolynomial([Fraction(c, F[-1]) for c in F]), mult))
-    # linears by root ascending, then quadratics by (norm, -trace)
-    factors.sort(
-        key=lambda fm: (1, -fm[0].coeffs[0]) if fm[0].degree == 1 else (2, *fm[0].coeffs)
-    )
-    scale = coeffs[-1] / R[-1]
-    return ExactFactorization(tuple(factors), CentralPolynomial([scale * c for c in R]))
+            factors.append((F, mult))
+    # linears by root -c_0/c_1 ascending, then quadratics by (norm, -trace)
+    # = (c_0/c_2, c_1/c_2), compared over the lcm L of the leading terms
+    L = math.lcm(*(F[-1] for F, _ in factors))
+
+    def key(fm):
+        F, k = fm[0], L // fm[0][-1]
+        return (1, -F[0] * k) if len(F) == 2 else (2, F[0] * k, F[1] * k)
+
+    factors.sort(key=key)
+    factors = tuple((CentralPolynomial(F, EXACT, F[-1]), mult) for F, mult in factors)
+    rest = CentralPolynomial([nums[-1] * c for c in R], EXACT, den * R[-1])
+    return ExactFactorization(factors, rest)
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +504,18 @@ def float_candidates(Phi, tol):
 
 def exact_candidates(Phi):
     """Class candidates of an exact polynomial from its rational factors of
-    degree <= 2; the remainder's roots generate extensions of degree > 2 and
-    are discarded with a warning."""
+    degree <= 2, read from their integer forms c_0..c_d; the remainder's
+    roots generate extensions of degree > 2 and are discarded with a
+    warning."""
     fact = exact_quadratic_factors(Phi)
     cands = []
     for poly, mult in fact.factors:
-        if poly.degree == 1:
-            r = -poly.coeffs[0]
-            cands.append(ClassCandidate(2 * r, r * r, 1, mult))
-        else:
-            n_val, t_val = poly.coeffs[0], -poly.coeffs[1]
-            cands.append(ClassCandidate(t_val, n_val, 2, mult))
+        c, lead = poly.ints
+        if len(c) == 2:  # the root -c_0/c_1: trace twice it, norm its square
+            cand = Fraction(-2 * c[0], lead), Fraction(c[0] * c[0], lead * lead), 1
+        else:  # trace -c_1/c_2, norm c_0/c_2
+            cand = Fraction(-c[1], lead), Fraction(c[0], lead), 2
+        cands.append(ClassCandidate(*cand, mult))
     warnings = []
     if fact.remainder.degree >= 1:
         warnings.append(
@@ -515,7 +523,8 @@ def exact_candidates(Phi):
             "its roots generate extensions of degree > 2 and cannot lie "
             "in the algebra" % fact.remainder.degree
         )
-    cands.sort(key=lambda c: (c.norm, -c.trace))
+    cands.sort(key=lambda c: c.trace, reverse=True)  # stable: by (norm, -trace)
+    cands.sort(key=lambda c: c.norm)
     return CentralRoots(tuple(cands), tuple(warnings), fact.remainder.degree)
 
 

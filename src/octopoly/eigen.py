@@ -17,7 +17,7 @@ import enum
 from collections import namedtuple
 
 from .algebra import Octonion
-from .polynomials import StandardPolynomial, reduce_to_linear
+from .polynomials import StandardPolynomial, linear_form, power_weights, reduce_to_linear
 from .solver import class_embeds, companion_classes, verify_root
 
 
@@ -82,16 +82,12 @@ def _membership(phi, lam, side):
     def act(x):
         return lam * x if side == Side.LEFT else x * lam
 
-    trace, norm = lam.invariants()
-    red = reduce_to_linear(phi, norm, trace)
-    cols = []
-    for b in range(8):
-        e = alg.basis_element(b)
-        cols.append((red.E * act(e) + red.G * e).vec)
-    kernel = alg.backend.nullspace(cols)
+    E, G = linear_form(phi, power_weights(*alg.backend.cleared_invariants(lam.vec), phi.degree))
+    basis = map(alg.basis_element, range(8))
+    kernel = alg.backend.nullspace([(E * act(e) + G * e).vec for e in basis])
     if kernel is None:
         return MembershipReport(False)
-    vec = [alg.octonion(kernel)]
+    vec = [Octonion(alg, kernel)]
     for _ in range(phi.degree - 1):
         vec.append(act(vec[-1]))
     return MembershipReport(True, kernel_element=vec[0], eigenvector=tuple(vec))

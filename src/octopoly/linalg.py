@@ -2,23 +2,23 @@
 
 The module holds one routine per scalar backend.  Exact mode takes an
 integer matrix (``scalars.Exact.nullspace`` brings the columns over one
-denominator) and runs fraction-free (Bareiss) elimination, so no
-intermediate rationals appear until the final back-substitution.  Float
-mode uses column-pivoted elimination with zero-at-scale pivot decisions.
-Both return a single kernel vector built from the first free column, which
-keeps reports deterministic.
+denominator) and runs fraction-free (Bareiss) elimination and back-
+substitution on ints, so no ``Fraction`` is built.  Float mode uses
+column-pivoted elimination with zero-at-scale pivot decisions.  Both return
+a single kernel vector built from the first free column, which keeps
+reports deterministic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 
 def exact_nullspace_vector(rows):
-    """One exact kernel vector of an integer matrix, as Fractions, or None
-    if the matrix is regular.
-
-    The vector is normalized so its first nonzero coordinate is 1.
+    """One exact kernel vector of an integer matrix, or None if the matrix
+    is regular: the exact backend's vector form (nums, den), normalized so
+    its first nonzero coordinate is 1.  The back-substitution keeps ints by
+    scaling its vector by pivot / gcd, and divides once, at the end.
     """
     m = [list(row) for row in rows]
     nrows = len(m)
@@ -44,13 +44,17 @@ def exact_nullspace_vector(rows):
     free = [c for c in range(ncols) if c not in piv_cols]
     if not free:
         return None
-    x = [Fraction(0)] * ncols
-    x[free[0]] = Fraction(1)
+    x = [0] * ncols  # a multiple of the kernel vector
+    x[free[0]] = 1
     for rr, cc in reversed(pivots):
-        s = sum((Fraction(m[rr][k]) * x[k] for k in range(cc + 1, ncols)), Fraction(0))
-        x[cc] = -s / m[rr][cc]
+        row = m[rr]
+        s = sum(row[k] * x[k] for k in range(cc + 1, ncols))
+        g = math.gcd(s, row[cc])
+        x = [v * (row[cc] // g) for v in x]
+        x[cc] = -s // g
     lead = next(v for v in x if v != 0)
-    return [v / lead for v in x]
+    g = math.gcd(*x)
+    return tuple(v // g if lead > 0 else -v // g for v in x), abs(lead) // g
 
 
 def float_nullspace_vector(rows, tol):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from fractions import Fraction
 
 from .algebra import Octonion, OctonionAlgebra
-from .scalars import EXACT
+from .scalars import EXACT, over_common_denominator
 
 
 class StandardPolynomial:
@@ -79,23 +80,31 @@ class CentralPolynomial:
     coefficients: the companion polynomial and its factors.
 
     Trailing zero coefficients are stripped and the zero polynomial is
-    rejected at construction.  The record does no arithmetic of its own
-    beyond evaluation; the exact factor search in ``central`` works on
-    integer coefficient lists.
+    rejected at construction.  ``ints = (nums, den)`` holds exact
+    coefficients as ints over one positive denominator (None for others).
+    Given ``den``, ``coeffs`` are such numerators, and their reduced
+    Fractions are built when ``coeffs`` is first read.  The record does no
+    arithmetic of its own beyond evaluation; the exact factor search in
+    ``central`` works on ``ints``.
     """
 
-    def __init__(self, coeffs, mode=EXACT):
+    def __init__(self, coeffs, mode=EXACT, den=None):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         if not coeffs:
             raise ValueError("the zero polynomial is not a valid CentralPolynomial")
-        self.coeffs = tuple(coeffs)
-        self.mode = mode
+        self.degree, self.mode = len(coeffs) - 1, mode
+        self._coeffs = None if den else tuple(coeffs)
+        self.ints = (tuple(coeffs), den) if den else None
+        if not den and all(isinstance(c, (int, Fraction)) for c in coeffs):
+            self.ints = over_common_denominator(coeffs)
 
     @property
-    def degree(self):
-        return len(self.coeffs) - 1
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(n, self.ints[1]) for n in self.ints[0])
+        return self._coeffs
 
     def __eq__(self, other):
         if not isinstance(other, CentralPolynomial):
@@ -129,7 +138,8 @@ def companion(phi: StandardPolynomial) -> CentralPolynomial:
     pair by pair in a fixed order.
     """
     alg = phi.algebra
-    return CentralPolynomial(alg._companion([c.vec for c in phi.coeffs]), alg.mode)
+    b, den = alg.backend.companion_form([c.vec for c in phi.coeffs])
+    return CentralPolynomial(b, alg.mode, den)
 
 
 def eg_sequence(norm, trace, zero, one):
@@ -160,18 +170,37 @@ class ReducedLinearForm(namedtuple("ReducedLinearForm", "E G norm trace")):
     __slots__ = ()
 
 
-def reduce_to_linear(phi: StandardPolynomial, norm, trace) -> ReducedLinearForm:
+def power_weights(a, b, d, n):
+    """(es, gs, den) with z^i = (es[i] z + gs[i]) / den for i = 0..n on the
+    class with trace a/d and norm b/d^2.  The recurrence runs on a and b
+    (ints in exact mode, where the backend's ``clear_denominators`` or
+    ``cleared_invariants`` gives them): w = d z has w^2 = a w - b, so
+    z^i = (d e_i(a,b) z + g_i(a,b)) / d^i, and over den = d^n the weights
+    are e_i(a,b) d^(n-i+1) and g_i(a,b) d^(n-i).  In float mode d = 1."""
+    es, gs = zip(*itertools.islice(eg_sequence(b, a, 0, 1), n + 1))
+    if d != 1:
+        es = [e * d ** (n - i + 1) for i, e in enumerate(es)]
+        gs = [g * d ** (n - i) for i, g in enumerate(gs)]
+    return es, gs, d**n
+
+
+def linear_form(phi: StandardPolynomial, weights):
+    """(E, G): sum_i c_i es[i] / den and sum_i c_i gs[i] / den for
+    ``power_weights`` (es, gs, den), each one backend combination."""
+    es, gs, den = weights
+    alg, vecs = phi.algebra, [c.vec for c in phi.coeffs]
+    return tuple(Octonion(alg, alg.backend.combine(vecs, w, den)) for w in (es, gs))
+
+
+def reduce_to_linear(phi: StandardPolynomial, norm, trace, weights=None) -> ReducedLinearForm:
     """E = sum c_i e_i(N,T), G = sum c_i g_i(N,T); for every lam with
-    invariants (T, N), eval_at(phi, lam) == E*lam + G.  Each sum is one
-    backend combination of the coefficient vectors."""
+    invariants (T, N), eval_at(phi, lam) == E*lam + G.  ``weights`` are the
+    class's ``power_weights``, when the caller has them."""
     alg = phi.algebra
     norm = alg.scalar(norm)
     trace = alg.scalar(trace)
-    eg = eg_sequence(norm, trace, alg._zero, alg._one)
-    es, gs = zip(*itertools.islice(eg, len(phi.coeffs)))
-    vecs = [c.vec for c in phi.coeffs]
-    E = Octonion(alg, alg.backend.combine(vecs, es))
-    G = Octonion(alg, alg.backend.combine(vecs, gs))
+    weights = weights or power_weights(*alg.backend.clear_denominators(trace, norm), phi.degree)
+    E, G = linear_form(phi, weights)
     return ReducedLinearForm(E=E, G=G, norm=norm, trace=trace)
 
 

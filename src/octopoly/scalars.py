@@ -4,28 +4,27 @@ An algebra holds one backend, which owns every choice that depends on the
 scalars: coercion, the value of a literal's number token and the text
 form, zero tests, square roots, the nullspace routine, the class
 candidates of a companion polynomial (and, in float mode, the check that
-float64 kept it), and the storage of octonion
-coordinate vectors with their arithmetic (sum, difference, negation,
-scaling, conjugation, trace, the inner form, the companion coefficients,
-linear combinations and the product).  Exact mode stores a vector as 8
-ints over one positive denominator, kept canonical (gcd(den, n_0..n_7) = 1,
-zero over 1), so a product or sum costs one gcd instead of one per
-coordinate operation; its coordinates are exposed as reduced
-``fractions.Fraction`` and every decision is exact.  Float mode stores a
-tuple of 8 ``float`` and routes every zero decision through one
-:class:`ToleranceSpec`.  A zero test takes its scale
-as a function that only the float backend calls, so the exact path never
-computes a scale.
+float64 kept it), the algebra's norm form (``norm_form``) with the tests
+and maps read from it (inverse, class invariants, embedding of a class),
+and the storage of octonion coordinate vectors with their arithmetic.
+Exact mode stores a vector as 8 ints over one positive denominator, kept
+canonical (gcd(den, n_0..n_7) = 1, zero over 1), so a product or sum costs
+one gcd; every decision is exact and made on numerators, and a
+``fractions.Fraction`` is built only for a scalar handed out (a
+coordinate, a trace, a norm, a pairing).  Float mode stores a tuple of 8
+``float`` and routes every zero decision through one :class:`ToleranceSpec`.
+A zero test takes its scale as a function that only the float backend
+calls, so the exact path never computes a scale.
 
 Three kernels are written out straight-line.  ``multiplier`` compiles the
 product from the algebra's structure table once, one sum per output
-coordinate with its terms in the table's (a, b) order.  ``inner_form`` is
-the polar form <u,v> = sum_k q_k u_k v_k of the diagonal norm form, so
+coordinate with its terms in the table's (a, b) order.  ``inner`` is the
+polar form <u,v> = sum_k q_k u_k v_k of the diagonal norm form, so
 Norm(x) = <x,x> and Tr(conj(x) y) = 2<x,y> need no product, and
 ``companion_form`` sums those pairings into the companion polynomial's
 coefficients, on ints over one denominator in exact mode.  ``combine``
-forms sum_i s_i v_i in one pass, with one reduction in exact mode.  Float
-sums start at 0.0 and run in a fixed order (never ``sum()``, whose
+forms sum_i s_i v_i / den in one pass, with one reduction in exact mode.
+Float sums start at 0.0 and run in a fixed order (never ``sum()``, whose
 rounding changed in Python 3.12).
 """
 
@@ -182,7 +181,7 @@ class Exact(_Backend):
         if isinstance(value, bool):
             raise TypeError("bool is not a scalar")
         if isinstance(value, (int, Fraction, str)):
-            return Fraction(value)
+            return value if isinstance(value, Fraction) else Fraction(value)
         if isinstance(value, float):
             raise TypeError(
                 "float scalar %r not allowed in exact mode; pass a Fraction" % value
@@ -224,9 +223,9 @@ class Exact(_Backend):
         return None
 
     def nullspace(self, columns):
-        """Kernel vector of the matrix whose columns are the given vectors:
-        the columns are brought over one denominator, which leaves the
-        kernel unchanged, and the integer rows go to Bareiss elimination."""
+        """Kernel vector, or None, of the matrix whose columns are the given
+        vectors: the columns are brought over one denominator, which leaves
+        the kernel unchanged, and the integer rows go to Bareiss elimination."""
         den = math.lcm(*(d for _, d in columns))
         scaled = [[n * (den // d) for n in nums] for nums, d in columns]
         return linalg.exact_nullspace_vector(list(zip(*scaled)))
@@ -269,45 +268,63 @@ class Exact(_Backend):
         return _reduced([n * p for n in v[0]], v[1] * s.denominator)
 
     def divide(self, v, s):
-        return self.scale(v, 1 / s)
+        """v divided by the nonzero Fraction or int s."""
+        p, q = (s.denominator, s.numerator) if s > 0 else (-s.denominator, -s.numerator)
+        return _reduced([n * p for n in v[0]], v[1] * q)
+
+    def clear_denominators(self, x, y):
+        """(a, b, d): the ints a = d x and b = d^2 y for d = lcm(den x, den y)."""
+        d = math.lcm(x.denominator, y.denominator)
+        return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator) * d, d
+
+    def cleared_invariants(self, v):
+        """(a, b, d) with Tr(v) = a/d and Norm(v) = b/d^2 for d = qden den."""
+        nums, den = v
+        return 2 * nums[0] * self.qden, self._pairing(nums, nums) * self.qden, den * self.qden
 
     def trace(self, v):
         return Fraction(2 * v[0][0], v[1])
 
-    def inner_form(self, coeffs):
-        """The diagonal form <u,v> = sum_k coeffs[k] u_k v_k as a function of
-        two vectors; the coefficients are held as ints over one denominator."""
-        qs, qden = over_common_denominator(coeffs)
+    def norm_form(self, coeffs):
+        """Hold the diagonal norm form sum_k coeffs[k] x_k^2 of the algebra,
+        as ints ``qs`` over one denominator ``qden``."""
+        self.qs, self.qden = over_common_denominator(coeffs)
 
-        def inner(u, v):
-            (un, ud), (vn, vd) = u, v
-            total = sum(map(operator.mul, map(operator.mul, qs, un), vn))
-            return Fraction(total, qden * ud * vd)
+    def _pairing(self, xs, ys):
+        """sum_k qs[k] xs[k] ys[k] on ints."""
+        return sum(map(operator.mul, map(operator.mul, self.qs, xs), ys))
 
-        return inner
+    def inner(self, u, v):
+        """The polar form <u,v> = sum_k q_k u_k v_k of the norm form."""
+        return Fraction(self._pairing(u[0], v[0]), self.qden * u[1] * v[1])
 
-    def companion_form(self, coeffs):
-        """The companion coefficients b_k = sum_{i+j=k} <v_i,v_j> (ordered
-        pairs) of a vector list v_0..v_n under the diagonal form with
-        ``coeffs``, as a function of the list.  The sums run on ints, the
-        vectors over the lcm of their denominators, and each b_k becomes one
-        Fraction."""
-        qs, qden = over_common_denominator(coeffs)
+    def inverse(self, v, scale=None):
+        """conj(v) / Norm(v) on ints, or None when the norm is 0."""
+        nums, den = self.conj(v)
+        total = self._pairing(nums, nums)
+        m = self.qden * den if total > 0 else -self.qden * den
+        return _reduced([n * m for n in nums], abs(total)) if total else None
 
-        def companion(vecs):
-            vden = math.lcm(*(d for _, d in vecs))
-            nums = [[x * (vden // d) for x in xs] for xs, d in vecs]
-            n = len(nums) - 1
-            b = [0] * (2 * n + 1)
-            for i, xs in enumerate(nums):
-                ws = list(map(operator.mul, qs, xs))
-                b[2 * i] += sum(map(operator.mul, ws, xs))
-                for j in range(i + 1, n + 1):
-                    b[i + j] += 2 * sum(map(operator.mul, ws, nums[j]))
-            den = qden * vden * vden
-            return [Fraction(x, den) for x in b]
+    def embeds(self, trace, norm):
+        """Does some q_k, k >= 1, have the sign of norm - trace^2/4?  The sign
+        is read from 4 norm - trace^2 on numerators."""
+        s = 4 * norm.numerator * trace.denominator**2 - trace.numerator**2 * norm.denominator
+        return any(s * q > 0 for q in self.qs[1:])
 
-        return companion
+    def companion_form(self, vecs):
+        """(b, den): the companion coefficients b_k / den = sum_{i+j=k}
+        <v_i,v_j> (ordered pairs) of a vector list v_0..v_n, summed on ints
+        with the vectors over the lcm of their denominators."""
+        vden = math.lcm(*(d for _, d in vecs))
+        nums = [[x * (vden // d) for x in xs] for xs, d in vecs]
+        n = len(nums) - 1
+        b = [0] * (2 * n + 1)
+        for i, xs in enumerate(nums):
+            ws = list(map(operator.mul, self.qs, xs))
+            b[2 * i] += sum(map(operator.mul, ws, xs))
+            for j in range(i + 1, n + 1):
+                b[i + j] += 2 * sum(map(operator.mul, ws, nums[j]))
+        return b, self.qden * vden * vden
 
     def multiplier(self, table):
         """The product of two vectors under ``table[a][b] = (c, k)``; the
@@ -324,14 +341,13 @@ class Exact(_Backend):
 
         return mul
 
-    def combine(self, vecs, scalars):
-        """sum_i scalars[i] * vecs[i] with one reduction: the scalars over one
-        denominator, the vectors over the lcm of theirs."""
-        ps, sden = over_common_denominator(scalars)
+    def combine(self, vecs, weights, den=1):
+        """sum_i weights[i] * vecs[i] / den for int weights and a positive int
+        den, with one reduction: the vectors over the lcm of their denominators."""
         vden = math.lcm(*(d for _, d in vecs))
-        terms = [(p * (vden // d), nums) for p, (nums, d) in zip(ps, vecs) if p]
+        terms = [(w * (vden // d), nums) for w, (nums, d) in zip(weights, vecs) if w]
         sums = [sum([m * nums[k] for m, nums in terms]) for k in range(8)]
-        return _reduced(sums, sden * vden)
+        return _reduced(sums, vden * den)
 
 
 class Float(_Backend):
@@ -393,8 +409,9 @@ class Float(_Backend):
         return x**0.5 if x >= 0 else None
 
     def nullspace(self, columns):
-        """Kernel vector of the matrix whose columns are the given vectors."""
-        return linalg.float_nullspace_vector(list(zip(*columns)), self.tol)
+        """Kernel vector, or None, of the matrix whose columns are the given vectors."""
+        x = linalg.float_nullspace_vector(list(zip(*columns)), self.tol)
+        return None if x is None else self.vector(x)
 
     def check_companion(self, Phi, n):
         """Raise NumericFailureError when float64 lost the companion
@@ -456,47 +473,60 @@ class Float(_Backend):
     def divide(self, v, s):
         return tuple(a / s for a in v)
 
+    def clear_denominators(self, x, y):
+        """(x, y, 1): a float needs no denominator cleared."""
+        return x, y, 1
+
+    def cleared_invariants(self, v):
+        """(Tr(v), Norm(v), 1)."""
+        return self.trace(v), self.inner(v, v), 1
+
     def trace(self, v):
         return v[0] + v[0]
 
-    def inner_form(self, coeffs):
-        """<u,v> = sum_k coeffs[k] u_k v_k, summed from 0.0 as (q*u_k)*v_k in
-        k order (the order of coordinate 0 of the product conj(u) v)."""
+    def norm_form(self, coeffs):
+        """Hold the diagonal norm form sum_k coeffs[k] x_k^2 of the algebra."""
+        self.qs = coeffs
 
-        def inner(u, v):
-            t = 0.0
-            for q, a, b in zip(coeffs, u, v):
-                t += q * a * b
-            return t
+    def inner(self, u, v):
+        """<u,v> = sum_k q_k u_k v_k, summed from 0.0 as (q*u_k)*v_k in k
+        order (the order of coordinate 0 of the product conj(u) v)."""
+        t = 0.0
+        for q, a, b in zip(self.qs, u, v):
+            t += q * a * b
+        return t
 
-        return inner
+    def inverse(self, v, scale):
+        """conj(v) / Norm(v), or None when the norm is zero at ``scale()``."""
+        n = self.inner(v, v)
+        return None if self.tol.is_zero(n, scale()) else self.divide(self.conj(v), self.coerce(n))
 
-    def companion_form(self, coeffs):
-        """The companion coefficients b_k = sum_{i+j=k} <v_i,v_j> of a vector
-        list v_0..v_n, as a function of the list: each b_k summed from 0.0,
-        pair by pair in i order, a pair i < j adding <v_i,v_j> doubled."""
-        inner = self.inner_form(coeffs)
+    def embeds(self, trace, norm):
+        """Does some q_k, k >= 1, have the sign of norm - trace^2/4?"""
+        s = norm - trace * trace / 4
+        return any(s * q > 0 for q in self.qs[1:])
 
-        def companion(vecs):
-            n = len(vecs) - 1
-            b = [0.0] * (2 * n + 1)
-            for i, u in enumerate(vecs):
-                b[2 * i] += inner(u, u)
-                for j in range(i + 1, n + 1):
-                    t = inner(u, vecs[j])
-                    b[i + j] += t + t
-            return b
-
-        return companion
+    def companion_form(self, vecs):
+        """(b, None): the companion coefficients b_k = sum_{i+j=k} <v_i,v_j>
+        of a vector list v_0..v_n, each summed from 0.0, pair by pair in i
+        order, a pair i < j adding <v_i,v_j> doubled."""
+        n = len(vecs) - 1
+        b = [0.0] * (2 * n + 1)
+        for i, u in enumerate(vecs):
+            b[2 * i] += self.inner(u, u)
+            for j in range(i + 1, n + 1):
+                t = self.inner(u, vecs[j])
+                b[i + j] += t + t
+        return b, None
 
     def multiplier(self, table):
         """The product of two vectors under ``table[a][b] = (c, k)``, each
         coordinate summed from 0.0 in (a, b) order."""
         return _compiled_product(table, "0.0")
 
-    def combine(self, vecs, scalars):
-        """sum_i scalars[i] * vecs[i], each coordinate summed from 0.0 in i
-        order; a scalar that is not finite raises NumericFailureError."""
+    def combine(self, vecs, scalars, den=1):
+        """sum_i scalars[i] * vecs[i] / den, summed from 0.0 in i order; a
+        scalar that is not finite raises NumericFailureError."""
         if not all(map(math.isfinite, scalars)):
             raise NumericFailureError(
                 "float64 overflow: a combination scalar is not finite"
@@ -504,7 +534,7 @@ class Float(_Backend):
         out = [0.0] * 8
         for v, s in zip(vecs, scalars):
             out = [o + a * s for o, a in zip(out, v)]
-        return tuple(out)
+        return tuple(out) if den == 1 else tuple(o / den for o in out)
 
 
 def backend_for(mode, tol=None):

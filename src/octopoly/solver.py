@@ -17,13 +17,7 @@ from fractions import Fraction
 from .algebra import SPLIT, Octonion, OctonionAlgebra
 from .central import ClassCandidate, central_roots
 from .errors import SingularElementError, UnsupportedAlgebraError
-from .polynomials import (
-    StandardPolynomial,
-    companion,
-    eg_sequence,
-    eval_at,
-    reduce_to_linear,
-)
+from .polynomials import StandardPolynomial, companion, eval_at, power_weights, reduce_to_linear
 
 SINGLE_ROOT = "single_root"
 FULL_CLASS = "full_class"
@@ -81,10 +75,10 @@ def class_embeds(algebra: OctonionAlgebra, norm, trace) -> bool:
     Its members are trace/2 + u with u pure of norm s = norm - trace^2/4.
     The pure norm form <q_1..q_7> has dimension 7, so by Hasse-Minkowski it
     represents s != 0 iff some q_k has the sign of s.  In a division algebra
-    every q_k is positive, and this is trace^2 < 4 norm.
+    every q_k is positive, and this is trace^2 < 4 norm.  Exact mode decides
+    it on numerators.
     """
-    s = norm - trace * trace / 4
-    return any(s * q > 0 for q in algebra.norm_coeffs[1:])
+    return algebra.backend.embeds(trace, norm)
 
 
 def class_witness(algebra: OctonionAlgebra, norm, trace):
@@ -142,12 +136,15 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
 
 
 def _invariants_match(lam: Octonion, trace, norm):
-    backend = lam.algebra.backend
-    t, n = lam.invariants()
-    mag = lam.max_abs
+    """Has lam the trace and norm, each at the scale of the larger side?
+    Both sides are compared as (a, b, d), trace a/d and norm b/d^2: on ints
+    in exact mode, and with d = 1 in float mode."""
+    backend, mag = lam.algebra.backend, lam.max_abs
+    a, b, d = backend.cleared_invariants(lam.vec)
+    ta, tb, td = backend.clear_denominators(trace, norm)
     return backend.is_zero(
-        t - trace, lambda: max(1.0, abs(trace), mag())
-    ) and backend.is_zero(n - norm, lambda: max(1.0, abs(norm), mag() * mag()))
+        a * td - ta * d, lambda: max(1.0, abs(trace), mag())
+    ) and backend.is_zero(b * td * td - tb * d * d, lambda: max(1.0, abs(norm), mag() * mag()))
 
 
 def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolution:
@@ -161,6 +158,7 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
     looked up and verified), E = 0 != G leaves an empty class (possible only
     through float drift), and invertible E pins the unique representative
     -E^-1 G, emitted only if substitution and the invariants check out.
+    One ``power_weights`` pass gives both E and G and their zero scales.
     """
     alg = phi.algebra
     trace = alg.scalar(cand.trace)
@@ -172,14 +170,12 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
         return ClassResolution(NO_ROOT_IN_CLASS)
     if not class_embeds(alg, norm, trace):
         return ClassResolution(NOT_EMBEDDABLE)
-    red = reduce_to_linear(phi, norm, trace)
+    weights = power_weights(*alg.backend.clear_denominators(trace, norm), phi.degree)
+    red = reduce_to_linear(phi, norm, trace, weights)
 
     def scale(k):
-        """Magnitude the sum E (k = 0) or G (k = 1) lives at."""
-        return lambda: sum(
-            c.max_abs() * abs(eg[k])
-            for c, eg in zip(phi.coeffs, eg_sequence(norm, trace, alg._zero, alg._one))
-        )
+        """Magnitude the sum E (k = 0) or G (k = 1) lives at (float mode)."""
+        return lambda: sum(c.max_abs() * abs(w) for c, w in zip(phi.coeffs, weights[k]))
 
     if red.E.is_zero(scale(0)):
         if red.G.is_zero(scale(1)):

@@ -79,6 +79,56 @@ def horner_loops(b, z):
     return p, dp, value, scale
 
 
+def fraction_nullspace_vector(rows):
+    """The exact kernel routine as it was on Fractions: Bareiss elimination
+    of an integer matrix, back-substitution in Fractions and division by
+    the first nonzero coordinate.  A list of Fractions, or None for a
+    regular matrix; the reference of ``linalg.exact_nullspace_vector``."""
+    m = [list(row) for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    prev, pivots, r = 1, [], 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, nrows):
+            fac = m[i][c]
+            m[i] = [(piv * m[i][k] - fac * m[r][k]) // prev for k in range(ncols)]
+        prev = piv
+        pivots.append((r, c))
+        r += 1
+    piv_cols = {c for _, c in pivots}
+    free = [c for c in range(ncols) if c not in piv_cols]
+    if not free:
+        return None
+    x = [Fraction(0)] * ncols
+    x[free[0]] = Fraction(1)
+    for rr, cc in reversed(pivots):
+        s = sum((Fraction(m[rr][k]) * x[k] for k in range(cc + 1, ncols)), Fraction(0))
+        x[cc] = -s / m[rr][cc]
+    lead = next(v for v in x if v != 0)
+    return [v / lead for v in x]
+
+
+def fraction_reduce_to_linear(coeffs, norm, trace):
+    """(E, G), 8-tuples of Fractions, of phi = sum_i c_i z^i on the class
+    z^2 = trace z - norm, by the recurrence on Fractions as
+    ``reduce_to_linear`` ran it before: (e_0, g_0) = (0, 1),
+    e_{i+1} = trace e_i + g_i, g_{i+1} = -norm e_i, E = sum_i e_i c_i and
+    G = sum_i g_i c_i."""
+    E = G = (Fraction(0),) * 8
+    e, g = Fraction(0), Fraction(1)
+    for c in coeffs:
+        E = tuple(x + e * y for x, y in zip(E, c))
+        G = tuple(x + g * y for x, y in zip(G, c))
+        e, g = trace * e + g, -norm * e
+    return E, G
+
+
 def rand_coords(rng, lo=-9, hi=9, max_den=1):
     return tuple(
         Fraction(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(8)

@@ -19,6 +19,7 @@ from octopoly import (
     twist_left,
     twist_two_sided,
 )
+from octopoly.scalars import over_common_denominator
 from conftest import rand_invertible, rand_octonion
 from oracle import loop_product, oct_conj, oct_mul, oct_norm
 
@@ -112,7 +113,8 @@ def test_float_companion_is_bitwise_the_product_traces(params, rng):
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_combine_is_the_sequential_sum(mode, rng):
     # sum_i s_i v_i in one pass equals E = E + v_i * s_i from zero: exactly,
-    # and bit for bit in float mode
+    # with the exact s_i as ints over one denominator, and bit for bit in
+    # float mode
     A = OctonionAlgebra(-2, -3, -5, mode=mode)
     for _ in range(100):
         n = rng.randint(1, 6)
@@ -124,7 +126,8 @@ def test_combine_is_the_sequential_sum(mode, rng):
         want = A.zero
         for v, s in zip(vs, ss):
             want = want + v * s
-        got = A.backend.combine([v.vec for v in vs], ss)
+        args = over_common_denominator(ss) if mode == "exact" else (ss,)
+        got = A.backend.combine([v.vec for v in vs], *args)
         if mode == "exact":
             assert got == want.vec
         else:
