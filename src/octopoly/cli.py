@@ -3,30 +3,31 @@
 Both commands parse the algebra parameters and polynomial from flags, run the
 corresponding query and print one JSON document on stdout (warnings also go
 to stderr).  In exact mode the output is byte-identical across runs for
-identical inputs.  Exit codes: 0 success; 2 a bad flag, ``ParseError``,
-``ConfigurationError`` (a zero algebra parameter, a negative or non-finite
-tolerance), a ``ValueError``/``TypeError`` contract error (e.g. a non-monic
-eigen polynomial) or any other ``OctopolyError``; 3
-``UnsupportedAlgebraError`` (split algebra) or ``SingularElementError`` (an
-element of zero norm was inverted); 4 ``NumericFailureError``.
+identical inputs.  One loop reads the flags against the table ``FLAGS``
+(argparse took longer to start than the package's own modules), which also
+drives their checks and the help text.  A flag is spelled in full, as
+``--flag value`` or ``--flag=value``; its value is taken verbatim, so a
+literal may start with a minus sign.  Exit codes are those of ``_FAILURES``:
+0 success (also ``-h``/``--help``); 2 a usage error (a usage and an error
+line on stderr), ``ParseError``, ``ConfigurationError`` (a zero algebra
+parameter, a negative or non-finite tolerance), a ``ValueError`` or
+``TypeError`` contract error (e.g. a non-monic eigen polynomial) or any
+other ``OctopolyError``; 3 ``UnsupportedAlgebraError`` (split algebra) or
+``SingularElementError`` (an element of zero norm was inverted); 4
+``NumericFailureError``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import OctonionAlgebra
 from .eigen import lev_test, rev_test
-from .errors import (
-    NumericFailureError,
-    OctopolyError,
-    ParseError,
-    SingularElementError,
-    UnsupportedAlgebraError,
-)
+from .errors import (NumericFailureError, OctopolyError, ParseError, SingularElementError,
+                     UnsupportedAlgebraError)
 from .literals import format_octonion, parse_octonion, parse_polynomial
 from .scalars import EXACT, FLOAT, ToleranceSpec
 from .solver import FULL_CLASS, SINGLE_ROOT, solve
@@ -35,52 +36,105 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NUMERIC = 4
+# (errors, message prefix, exit code) of a failed query, the first match wins
+_FAILURES = (
+    (ParseError, "parse error", EXIT_PARSE),
+    ((UnsupportedAlgebraError, SingularElementError), "unsupported algebra", EXIT_UNSUPPORTED),
+    (NumericFailureError, "numeric failure", EXIT_NUMERIC),
+    ((OctopolyError, ValueError, TypeError), "error", EXIT_PARSE),
+)
+
+COMMANDS = {"solve": "find all roots of a standard polynomial",
+            "eigen": "test one element for eigenvalue membership"}
+# ``check``: None for any text, a tuple of the allowed values, ``float`` for a
+# value that must convert, or ``bool`` for a switch, which takes no value
+_Flag = namedtuple("Flag", "name dest default check required commands help")
+_BOTH, _TOL = tuple(COMMANDS), ToleranceSpec()
+FLAGS = [_Flag(*row) for row in [
+    ("--alpha", "alpha", "-1", None, False, _BOTH, "i^2, a nonzero rational"),
+    ("--beta", "beta", "-1", None, False, _BOTH, "j^2, a nonzero rational"),
+    ("--gamma", "gamma", "-1", None, False, _BOTH, "l^2, a nonzero rational"),
+    ("--mode", "mode", EXACT, (EXACT, FLOAT), False, _BOTH, "scalar backend"),
+    ("--abs-eps", "abs_eps", _TOL.abs_eps, float, False, _BOTH, "float mode: absolute zero tolerance"),
+    ("--rel-eps", "rel_eps", _TOL.rel_eps, float, False, _BOTH, "float mode: relative zero tolerance"),
+    ("--poly", "poly", None, None, True, _BOTH, "polynomial literal, e.g. 'i*z^2 + j*z + l'"),
+    ("--lambda", "lam", None, None, True, ("eigen",), "octonion literal"),
+    ("--side", "side", "left", ("left", "right"), False, ("eigen",), "eigenvalue side"),
+    ("--json", "json", False, bool, False, _BOTH, "compact JSON, the default"),
+    ("--pretty", "pretty", False, bool, False, _BOTH, "indented JSON, not with --json"),
+]]
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="octopoly",
-        description="Root finding and companion-matrix eigenvalue tests for "
-        "polynomials over octonion division algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    tol = ToleranceSpec()
+class _UsageError(Exception):
+    """A command line that names no command, or a flag or value it does not take."""
 
-    def common(p):
-        p.add_argument("--alpha", default="-1", help="i^2 (rational, default -1)")
-        p.add_argument("--beta", default="-1", help="j^2 (rational, default -1)")
-        p.add_argument("--gamma", default="-1", help="l^2 (rational, default -1)")
-        p.add_argument(
-            "--mode", choices=[EXACT, FLOAT], default=EXACT, help="scalar backend"
-        )
-        p.add_argument("--abs-eps", type=float, default=tol.abs_eps)
-        p.add_argument("--rel-eps", type=float, default=tol.rel_eps)
-        p.add_argument("--poly", required=True, help="polynomial literal, e.g. 'i*z^2 + j*z + l'")
-        style = p.add_mutually_exclusive_group()
-        style.add_argument("--json", action="store_true", help="compact JSON (default)")
-        style.add_argument("--pretty", action="store_true", help="indented JSON")
 
-    p_solve = sub.add_parser("solve", help="find all roots of a standard polynomial")
-    common(p_solve)
+def _usage(command):
+    need = ["%s %s" % (f.name, f.name[2:].upper()) for f in FLAGS if f.required and command in f.commands]
+    return "usage: octopoly %s [-h] %s" % (command or "{solve,eigen}", " ".join(need + ["[--flag value ...]"]))
 
-    p_eigen = sub.add_parser(
-        "eigen", help="test one element for eigenvalue membership"
-    )
-    common(p_eigen)
-    p_eigen.add_argument("--lambda", dest="lam", required=True, help="octonion literal")
-    p_eigen.add_argument("--side", choices=["left", "right"], default="left")
-    return parser
+
+def _help(command):
+    """The usage line, then the commands or the command, then its flags."""
+    lines = [_usage(command), ""]
+    lines += ["  %-22s%s" % item for item in COMMANDS.items() if command in (None, item[0])]
+    lines.append("\nflags, spelled in full, as --flag value or --flag=value:")
+    for f in FLAGS:
+        if command not in f.commands and command is not None:
+            continue
+        meta = note = ""
+        if f.check is not bool:
+            meta = " {%s}" % ",".join(f.check) if type(f.check) is tuple else " " + f.name[2:].upper()
+            note = " (required)" if f.required else " (default %s)" % f.default
+        only = " [%s only]" % f.commands[0] if command is None and f.commands != _BOTH else ""
+        lines.append("  %-22s%s%s%s" % (f.name + meta, f.help, note, only))
+    return "\n".join(lines)
+
+
+def _parse_args(command, argv):
+    """The values of ``argv`` (the command, then flags) by dest, or None when it
+    asks for help; ``command`` is argv[0] when that names a command, else None."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
+    if command is None:
+        raise _UsageError("unknown command %r" % argv[0] if argv else "a command is required")
+    flags = {f.name: f for f in FLAGS if command in f.commands}
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        name, eq, value = token.partition("=")
+        f = flags.get(name)
+        if f is None or (eq and f.check is bool):
+            raise _UsageError("unrecognized argument %r" % token)
+        if not eq:
+            value = True if f.check is bool else next(tokens, None)
+            if value is None:
+                raise _UsageError("%s expects a value" % name)
+        values[f.dest] = value
+    for f in flags.values():
+        value = values.setdefault(f.dest, f.default)
+        if f.required and value is None:
+            raise _UsageError("%s is required" % f.name)
+        if type(f.check) is tuple and value not in f.check:
+            raise _UsageError("%s takes one of %s, not %r" % (f.name, ", ".join(f.check), value))
+        if f.check is float:
+            try:
+                values[f.dest] = float(value)
+            except ValueError:
+                raise _UsageError("%s takes a float, not %r" % (f.name, value)) from None
+    if values["json"] and values["pretty"]:
+        raise _UsageError("--json and --pretty exclude each other")
+    return values
 
 
 def _algebra_from_args(args):
-    spec = ToleranceSpec(abs_eps=args.abs_eps, rel_eps=args.rel_eps)
+    spec = ToleranceSpec(abs_eps=args["abs_eps"], rel_eps=args["rel_eps"])
     try:
-        alpha = Fraction(args.alpha)
-        beta = Fraction(args.beta)
-        gamma = Fraction(args.gamma)
+        params = [Fraction(args[name]) for name in ("alpha", "beta", "gamma")]
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad algebra parameter: %s" % exc)
-    return OctonionAlgebra(alpha, beta, gamma, mode=args.mode, tolerance=spec)
+    return OctonionAlgebra(*params, mode=args["mode"], tolerance=spec)
 
 
 def _coords(x):
@@ -88,41 +142,25 @@ def _coords(x):
 
 
 def _algebra_json(alg):
-    data = {
-        "alpha": alg.backend.format(alg.alpha),
-        "beta": alg.backend.format(alg.beta),
-        "gamma": alg.backend.format(alg.gamma),
-        "mode": alg.mode,
-        "division": alg.division_check().status,
-    }
+    fmt = alg.backend.format
+    data = {"alpha": fmt(alg.alpha), "beta": fmt(alg.beta), "gamma": fmt(alg.gamma),
+            "mode": alg.mode, "division": alg.division_check().status}
     if alg.mode == FLOAT:
-        data["abs_eps"] = alg.tol.abs_eps
-        data["rel_eps"] = alg.tol.rel_eps
+        data.update(abs_eps=alg.tol.abs_eps, rel_eps=alg.tol.rel_eps)
     return data
-
-
-def _dump(doc, args):
-    if args.pretty:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(json.dumps(doc))
 
 
 def _cmd_solve(args):
     alg = _algebra_from_args(args)
-    phi = parse_polynomial(args.poly, alg)
+    phi = parse_polynomial(args["poly"], alg)
     if phi.degree < 1:
         raise ParseError("solve needs a polynomial of degree >= 1")
     report = solve(phi)
     classes = []
     for cand, res in report.classes:
-        entry = {
-            "trace": alg.backend.format(cand.trace),
-            "norm": alg.backend.format(cand.norm),
-            "field_degree": cand.field_degree,
-            "multiplicity": cand.multiplicity,
-            "resolution": res.status,
-        }
+        entry = {"trace": alg.backend.format(cand.trace), "norm": alg.backend.format(cand.norm),
+                 "field_degree": cand.field_degree, "multiplicity": cand.multiplicity,
+                 "resolution": res.status}
         if res.status == SINGLE_ROOT:
             entry["root"] = _coords(res.root)
         elif res.status == FULL_CLASS:
@@ -132,91 +170,52 @@ def _cmd_solve(args):
         classes.append(entry)
     doc = {
         "algebra": _algebra_json(alg),
-        "polynomial": {
-            "side": "left",  # coefficients are always on the left
-            "coefficients": [_coords(c) for c in phi.coeffs],
-        },
+        # coefficients are always on the left
+        "polynomial": {"side": "left", "coefficients": [_coords(c) for c in phi.coeffs]},
         "companion": [alg.backend.format(b) for b in report.companion.coeffs],
         "classes": classes,
         "warnings": list(report.warnings),
     }
     for w in report.warnings:
         print("warning: %s" % w, file=sys.stderr)
-    _dump(doc, args)
+    print(json.dumps(doc, indent=2 if args["pretty"] else None))
     return EXIT_OK
 
 
 def _cmd_eigen(args):
     alg = _algebra_from_args(args)
-    phi = parse_polynomial(args.poly, alg)
-    lam = parse_octonion(args.lam, alg)
-    test = lev_test if args.side == "left" else rev_test
+    phi = parse_polynomial(args["poly"], alg)
+    lam = parse_octonion(args["lam"], alg)
+    test = lev_test if args["side"] == "left" else rev_test
     report = test(phi, lam)
     trace, norm = lam.invariants()
     doc = {
         "member": report.member,
-        "kernel_element": (
-            format_octonion(report.kernel_element) if report.member else None
-        ),
-        "eigenvector": (
-            [format_octonion(v) for v in report.eigenvector]
-            if report.member
-            else None
-        ),
-        "class": {
-            "trace": alg.backend.format(trace),
-            "norm": alg.backend.format(norm),
-        },
+        "kernel_element": format_octonion(report.kernel_element) if report.member else None,
+        "eigenvector": [format_octonion(v) for v in report.eigenvector] if report.member else None,
+        "class": {"trace": alg.backend.format(trace), "norm": alg.backend.format(norm)},
     }
-    _dump(doc, args)
+    print(json.dumps(doc, indent=2 if args["pretty"] else None))
     return EXIT_OK
 
 
-_VALUE_FLAGS = ("--lambda", "--poly", "--alpha", "--beta", "--gamma")
-
-
-def _merge_value_flags(argv):
-    """Turn ``--lambda -j`` into ``--lambda=-j`` so literals may start with
-    a minus sign without argparse mistaking them for flags."""
-    out = []
-    k = 0
-    while k < len(argv):
-        tok = argv[k]
-        if tok in _VALUE_FLAGS and k + 1 < len(argv):
-            out.append("%s=%s" % (tok, argv[k + 1]))
-            k += 2
-        else:
-            out.append(tok)
-            k += 1
-    return out
-
-
 def main(argv=None):
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_value_flags(list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, which matches the parse-error code
-        return int(exc.code or 0)
+        args = _parse_args(command, argv)
+    except _UsageError as exc:
+        print("%s\noctopoly: error: %s" % (_usage(command), exc), file=sys.stderr)
+        return EXIT_PARSE
+    if args is None:
+        print(_help(command))
+        return EXIT_OK
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        return _cmd_eigen(args)
-    except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except (UnsupportedAlgebraError, SingularElementError) as exc:
-        print("unsupported algebra: %s" % exc, file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except NumericFailureError as exc:
-        print("numeric failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERIC
-    except (OctopolyError, ValueError, TypeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+        return (_cmd_solve if command == "solve" else _cmd_eigen)(args)
+    except _FAILURES[-1][0] as exc:
+        prefix, code = next((p, c) for kinds, p, c in _FAILURES if isinstance(exc, kinds))
+        print("%s: %s" % (prefix, exc), file=sys.stderr)
+        return code
 
 
 def console_entry():

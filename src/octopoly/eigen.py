@@ -71,8 +71,9 @@ class MembershipReport(
 def _membership(phi, lam, side):
     """Kernel of gamma -> sum_i c_i (lam^i gamma) (left) or
     sum_i c_i (gamma lam^i) (right), built as E act(gamma) + G gamma from
-    lam^i = e_i lam + g_i on lam's class.  By Artin's theorem lam and gamma
-    generate an associative subalgebra, so the eigenvector entry lam^i gamma
+    lam^i = e_i lam + g_i on lam's class, its columns read off the structure
+    table (``operator_columns``).  By Artin's theorem lam and gamma generate
+    an associative subalgebra, so the eigenvector entry lam^i gamma
     (gamma lam^i) is act applied i times to gamma."""
     if not phi.is_monic():
         raise ValueError("eigenvalue tests require a monic polynomial")
@@ -83,8 +84,8 @@ def _membership(phi, lam, side):
         return lam * x if side == Side.LEFT else x * lam
 
     E, G = linear_form(phi, power_weights(*alg.backend.cleared_invariants(lam.vec), phi.degree))
-    basis = map(alg.basis_element, range(8))
-    kernel = alg.backend.nullspace([(E * act(e) + G * e).vec for e in basis])
+    columns = alg.backend.operator_columns(E.vec, G.vec, lam.vec, side == Side.RIGHT)
+    kernel = alg.backend.nullspace(columns)
     if kernel is None:
         return MembershipReport(False)
     vec = [Octonion(alg, kernel)]

@@ -60,18 +60,19 @@ class StandardPolynomial:
 
 
 def eval_at(phi: StandardPolynomial, lam: Octonion) -> Octonion:
-    """Substitute lam for the variable.
+    """Substitute lam for the variable: sum_i c_i lam^i, by Horner's rule
+    acc = acc*lam + c_k from acc = c_n down to c_0.
 
-    Powers lam^i are built by repeated multiplication (any bracketing agrees
-    by power-associativity) and multiplied by their coefficients on the left;
-    the sum starts at c_0 and the powers at lam, so no product by 1 is spent.
+    The regrouping is an identity: (c lam^m) lam = c lam^(m+1), since c and
+    lam generate an associative subalgebra (Artin's theorem), and the
+    product distributes over the terms (exact mode gives the same value;
+    float mode rounds in another order).  A degree-n polynomial
+    costs n products instead of the 2n - 1 of building each power.
     """
     phi.algebra.check_same(lam.algebra)
-    acc, power = phi.coeffs[0], lam
-    for i, c in enumerate(phi.coeffs[1:]):
-        if i > 0:
-            power = lam * power
-        acc = acc + c * power
+    acc = phi.coeffs[-1]
+    for c in reversed(phi.coeffs[:-1]):
+        acc = acc * lam + c
     return acc
 
 

@@ -18,7 +18,9 @@ calls, so the exact path never computes a scale.
 
 Three kernels are written out straight-line.  ``multiplier`` compiles the
 product from the algebra's structure table once, one sum per output
-coordinate with its terms in the table's (a, b) order.  ``inner`` is the
+coordinate with its terms in the table's (a, b) order; from the same table
+``operator_columns`` reads a product with a basis element as a signed,
+scaled permutation of coordinates.  ``inner`` is the
 polar form <u,v> = sum_k q_k u_k v_k of the diagonal norm form, so
 Norm(x) = <x,x> and Tr(conj(x) y) = 2<x,y> need no product, and
 ``companion_form`` sums those pairings into the companion polynomial's
@@ -167,6 +169,40 @@ class _Backend:
         """Accept the companion polynomial Phi of a degree-n polynomial over a
         division algebra; exact coefficients cannot go out of range."""
 
+    def _hold_structure(self, coeffs, tden, start):
+        """Compile and return the product of coordinate sequences under the
+        structure table ``coeffs[a][b] = (c, k)`` over the denominator
+        ``tden`` (``_compiled_product`` with ``start``), and hold it with
+        tden and, per basis element e_b, the maps x -> x e_b and
+        x -> e_b x as one (c, a) per output coordinate k, which is c x_a."""
+        self._product, self._tden = _compiled_product(coeffs, start), tden
+        self._by_basis = ([[None] * 8 for _ in range(8)], [[None] * 8 for _ in range(8)])
+        for a, row in enumerate(coeffs):
+            for b, (c, k) in enumerate(row):
+                self._by_basis[0][b][k] = (c, a)
+                self._by_basis[1][a][k] = (c, b)
+        return self._product
+
+    def operator_columns(self, e, g, lam, right):
+        """The columns b = 0..7 of the operator gamma -> E act(gamma) + G
+        gamma at gamma = e_b, for the vectors e, g of E, G and act(gamma) =
+        lam gamma (gamma lam when ``right``), as ``nullspace`` takes them.
+
+        lam e_b (e_b lam) and G e_b are signed, scaled permutations of the
+        coordinates, read off the structure table, so a column costs one
+        compiled product and no reduction.  Each permuted coordinate is
+        zero + c x_a, which in float mode rounds as the compiled product
+        with e_b does, so float columns are bitwise those of the octonion
+        products; exact columns are ints over one shared denominator."""
+        (en, ed), (gn, gd), (ln, ld) = map(self._split, (e, g, lam))
+        acts, g_acts, zero = self._by_basis[right], self._by_basis[0], self._ZERO
+        columns = []
+        for b in range(8):
+            v = [zero + c * ln[a] for c, a in acts[b]]
+            w = [zero + c * gn[a] for c, a in g_acts[b]]
+            columns.append((self._product(en, v), w))
+        return self._columns(columns, ed * ld * self._tden**2, gd * self._tden)
+
 
 class Exact(_Backend):
     """Rational scalars; every decision is exact and no scale is computed.
@@ -174,6 +210,8 @@ class Exact(_Backend):
     A vector is ``(nums, den)``: a tuple of 8 ints and an int den > 0 with
     gcd(den, *nums) == 1, so equal vectors have equal forms.
     """
+
+    _ZERO = 0
 
     def coerce(self, value):
         """Ints, Fractions and 'p/q' strings; floats are rejected because
@@ -331,15 +369,24 @@ class Exact(_Backend):
         coefficients c are held as ints over one denominator, so rational
         algebra parameters cost nothing beyond the one gcd per product."""
         tden = math.lcm(*(c.denominator for row in table for c, _ in row))
-        product = _compiled_product(
-            [[(int(c * tden), k) for c, k in row] for row in table], ""
-        )
+        coeffs = [[(int(c * tden), k) for c, k in row] for row in table]
+        product = self._hold_structure(coeffs, tden, "")
 
         def mul(x, y):
             (xn, xd), (yn, yd) = x, y
             return _reduced(product(xn, yn), xd * yd * tden)
 
         return mul
+
+    def _split(self, v):
+        """(coordinate numerators, denominator) of a vector."""
+        return v
+
+    def _columns(self, pairs, d1, d2):
+        """The columns p/d1 + w/d2 of the (p, w) pairs, over d = lcm(d1, d2)."""
+        d = math.lcm(d1, d2)
+        s1, s2 = d // d1, d // d2
+        return [([s1 * x + s2 * y for x, y in zip(p, w)], d) for p, w in pairs]
 
     def combine(self, vecs, weights, den=1):
         """sum_i weights[i] * vecs[i] / den for int weights and a positive int
@@ -354,6 +401,8 @@ class Float(_Backend):
     """float64 scalars; zero and equality are decided by ``tol`` at a scale.
 
     A vector is a tuple of 8 floats."""
+
+    _ZERO = 0.0
 
     def coerce(self, value):
         """Anything float() accepts, plus 'p/q' strings (a string is read by
@@ -522,7 +571,15 @@ class Float(_Backend):
     def multiplier(self, table):
         """The product of two vectors under ``table[a][b] = (c, k)``, each
         coordinate summed from 0.0 in (a, b) order."""
-        return _compiled_product(table, "0.0")
+        return self._hold_structure(table, 1, "0.0")
+
+    def _split(self, v):
+        """(coordinates, 1): a float vector has no denominator."""
+        return v, 1
+
+    def _columns(self, pairs, d1, d2):
+        """The columns p + w of the (p, w) pairs; d1 = d2 = 1."""
+        return [tuple(map(operator.add, p, w)) for p, w in pairs]
 
     def combine(self, vecs, scalars, den=1):
         """sum_i scalars[i] * vecs[i] / den, summed from 0.0 in i order; a

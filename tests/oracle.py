@@ -61,6 +61,18 @@ def loop_product(table, xs, ys):
     return tuple(out)
 
 
+def power_sum_eval(phi, lam):
+    """phi(lam) as ``polynomials.eval_at`` computed it before Horner's rule:
+    c_0 plus c_i lam^i, the powers built by repeated left multiplication
+    from lam.  The reference of the Horner evaluation."""
+    acc, power = phi.coeffs[0], lam
+    for i, c in enumerate(phi.coeffs[1:]):
+        if i > 0:
+            power = lam * power
+        acc = acc + c * power
+    return acc
+
+
 def horner_loops(b, z):
     """The float root finder's former three evaluations of b_0..b_n at a
     complex z, one loop each: (p(z), p'(z)) by a joint Horner pass from 0j,

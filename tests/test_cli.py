@@ -443,10 +443,14 @@ def test_cli_import_skips_dataclasses():
 
 def test_cli_golden_query_never_imports_random():
     # the companion z^4 + z^2 + 1 of the README query splits into two
-    # quadratics mod 5; the exact factor search separates them by shifts
+    # quadratics mod 5; the exact factor search separates them by shifts.
+    # The flags are read without argparse, whose import, with gettext, and
+    # help formatter, which imports shutil, cost more than the package's own
+    # modules
     code = (
         "import sys, octopoly.cli; rc = octopoly.cli.main(%r); "
-        "print(rc, 'random' in sys.modules, file=sys.stderr)"
+        "print(rc, *[m in sys.modules for m in ('random', 'argparse', 'shutil', 'gettext')], "
+        "file=sys.stderr)"
         % (["solve", "--poly", "i*z^2 + j*z + l"],)
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -458,7 +462,7 @@ def test_cli_golden_query_never_imports_random():
         timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stderr.split() == ["0", "False"]
+    assert run.stderr.split() == ["0", "False", "False", "False", "False"]
 
 
 def test_cli_float_mode(capsys):
@@ -516,3 +520,80 @@ def test_cli_pretty_flag(capsys):
     out = capsys.readouterr().out
     assert rc == 0 and out.startswith("{\n")
     json.loads(out)
+
+
+# every flag of each command, as its help text must name it
+_FLAGS = ["--alpha", "--beta", "--gamma", "--mode", "--abs-eps", "--rel-eps", "--poly", "--json", "--pretty"]
+_COMMAND_FLAGS = {"solve": _FLAGS, "eigen": _FLAGS + ["--lambda", "--side"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["factor", "--poly", "z + 1"],
+        ["solve", "--poly", "z + 1", "--bogus", "1"],
+        ["solve", "--poly"],
+        ["solve", "--poly", "z + 1", "--mode"],
+        ["solve"],
+        ["solve", "--mode", "float"],
+        ["eigen", "--poly", "z^2 + 1"],
+        ["solve", "--poly", "z + 1", "--lambda", "i"],
+        ["solve", "--poly", "z + 1", "--side", "left"],
+        ["solve", "--poly", "z + 1", "--mode", "fast"],
+        ["eigen", "--poly", "z^2 + 1", "--lambda", "i", "--side", "up"],
+        ["solve", "--poly", "z + 1", "--abs-eps", "tiny"],
+        ["solve", "--poly", "z + 1", "--rel-eps="],
+        ["solve", "--poly", "z + 1", "--json", "--pretty"],
+        ["solve", "--poly", "z + 1", "--json=yes"],
+        ["solve", "--poly", "z + 1", "extra"],
+        ["--poly", "z + 1", "solve"],
+        ["solve", "--pol", "z + 1"],
+    ],
+    ids=[
+        "no-command", "unknown-command", "unknown-flag", "no-value", "no-value-last",
+        "no-poly", "no-poly-with-flags", "no-lambda", "lambda-on-solve", "side-on-solve",
+        "bad-mode", "bad-side", "bad-abs-eps", "empty-rel-eps", "json-and-pretty",
+        "value-on-switch", "positional", "flag-before-command", "abbreviation",
+    ],
+)
+def test_cli_usage_errors_exit_2(argv, capsys):
+    # a usage error is a usage line and an error line on stderr, nothing on
+    # stdout, and exit 2; flags are spelled in full (argparse took prefixes)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: octopoly ") and error.startswith("octopoly: error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["solve", "-h"], ["eigen", "--help"],
+                                  ["solve", "--poly", "z + 1", "--help"]])
+def test_cli_help_exits_0(argv, capsys):
+    # help goes to stdout and names both commands, or every flag the command takes
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: octopoly") and captured.err == ""
+    command = next((a for a in argv if a in _COMMAND_FLAGS), None)
+    names = _COMMAND_FLAGS[command] if command else list(_COMMAND_FLAGS)
+    assert all(name in captured.out for name in names)
+    if command == "solve":
+        assert "--lambda" not in captured.out
+
+
+def test_cli_leading_minus_values_in_both_forms(capsys):
+    # a value that starts with '-' is taken verbatim after its flag, as in
+    # the '--flag=value' form
+    runs = [
+        ["eigen", "--poly", "z^2 + 1", "--lambda", "-j", "--alpha", "-2", "--side", "right"],
+        ["eigen", "--poly=z^2 + 1", "--lambda=-j", "--alpha=-2", "--side=right"],
+        ["solve", "--poly", "-z^2 - 1", "--beta", "-3"],
+        ["solve", "--poly=-z^2 - 1", "--beta=-3"],
+    ]
+    outs = []
+    for argv in runs:
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+    assert json.loads(outs[0])["member"] is True
+    assert json.loads(outs[2])["polynomial"]["coefficients"][2][0] == "-1"

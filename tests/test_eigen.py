@@ -352,3 +352,29 @@ def test_eigenvector_equals_the_reduced_powers(params):
             moved = point * gamma if side == Side.LEFT else gamma * point
             eg = itertools.islice(eg_sequence(norm, trace, 0, 1), deg)
             assert rep.eigenvector == tuple(moved * e_i + gamma * g_i for e_i, g_i in eg)
+
+
+def _column_coord(rng, mode):
+    if mode == "float":
+        return rng.choice([0.0, -0.0, rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 7)])
+    return rng.choice([0, F(rng.randint(-9, 9), rng.randint(1, 6))])
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("params", [(-1, -1, -1), (-2, -3, -5), (F(-1, 2), -3, F(-5, 7))])
+def test_operator_columns_are_the_products(mode, params, rng):
+    # the columns read off the structure table equal E act(e_b) + G e_b by
+    # octonion products: exactly, and in float mode bitwise, signed zeros too
+    A = OctonionAlgebra(*params, mode=mode)
+    for _ in range(60):
+        E, G, lam = (A.octonion([_column_coord(rng, mode) for _ in range(8)]) for _ in range(3))
+        for right in (False, True):
+            columns = A.backend.operator_columns(E.vec, G.vec, lam.vec, right)
+            for b, col in enumerate(columns):
+                e = A.basis_element(b)
+                want = E * (e * lam if right else lam * e) + G * e
+                if mode == "float":
+                    assert [x.hex() for x in col] == [x.hex() for x in want.vec]
+                else:
+                    nums, den = col
+                    assert tuple(F(n, den) for n in nums) == want.coords

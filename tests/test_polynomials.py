@@ -21,7 +21,7 @@ from octopoly import (
 )
 from octopoly.scalars import over_common_denominator
 from conftest import rand_invertible, rand_octonion
-from oracle import loop_product, oct_conj, oct_mul, oct_norm
+from oracle import loop_product, oct_conj, oct_mul, oct_norm, power_sum_eval
 
 
 @pytest.fixture()
@@ -55,6 +55,17 @@ def test_eval_golden(alg, phi3, psi):
     j = alg.basis_element(2)
     assert eval_at(phi3, j) == alg.octonion([-1, -1, 0, 0, 1, 0, 0, 0])
     assert eval_at(psi, j) == 2 * alg.basis_element(3)
+
+
+@pytest.mark.parametrize("params", [(-1, -1, -1), (Fraction(-1, 2), -3, Fraction(-5, 7)), (2, 3, 5)])
+def test_horner_eval_is_the_power_sum(params, rng):
+    # Horner's rule regroups sum_i c_i lam^i exactly in any octonion
+    # algebra, split ones included (Artin's theorem)
+    A = OctonionAlgebra(*params)
+    for _ in range(120):
+        phi = StandardPolynomial(A, [rand_octonion(rng, A, -5, 5, 4) for _ in range(rng.randint(1, 9))])
+        lam = rand_octonion(rng, A, -5, 5, 3)
+        assert eval_at(phi, lam) == power_sum_eval(phi, lam)
 
 
 def test_companion_golden(alg, phi3, psi):
