@@ -18,6 +18,13 @@ otherwise and as ``error`` on an exception.  At a root, gamma = 1 lies in
 the kernel, so only the other two points tell a left eigenvector
 (lambda^i gamma) from a right one (gamma lambda^i).
 
+Each row and the total also count the companion root searches that fell
+back from conjugate pairs to the iteration on all roots (``fallback``).
+They are counted from outside: the script wraps ``central._sweeps`` and
+counts its calls with ``pairs`` false on an even degree, the degree of
+every companion polynomial.  (cProfile around ``solve`` would count the
+same, but it doubles the sweep's wall time.)
+
 Run:  PYTHONPATH=src python3 scripts/planted_float_sweep.py
 The exit status is 1 when any case is lost or raised something other than
 NumericFailureError.
@@ -27,6 +34,7 @@ import random
 import sys
 from collections import Counter
 
+from octopoly import central
 from octopoly import (
     NumericFailureError,
     OctonionAlgebra,
@@ -45,6 +53,19 @@ SPANS = (1.0, 2.0)
 DEGREES = range(2, 17)
 SEEDS = 20
 TOL = 1e-6
+
+
+def count_fallbacks(counter):
+    """Wrap ``central._sweeps`` so that each sweep on all the roots of an
+    even-degree polynomial adds 1 to ``counter["fallback"]``."""
+    sweeps = central._sweeps
+
+    def counted(b, z, pairs):
+        if not pairs and len(b) % 2:
+            counter["fallback"] += 1
+        return sweeps(b, z, pairs)
+
+    central._sweeps = counted
 
 
 def planted(rng, A, degree, span):
@@ -127,17 +148,20 @@ def eigen_outcomes(phi, lam, rng):
 
 
 def main():
-    total = Counter()
+    total, searches = Counter(), Counter()
+    count_fallbacks(searches)
     for params in ALGEBRAS:
         A = OctonionAlgebra(*params, mode="float")
         for span in SPANS:
             for degree in DEGREES:
                 cell = Counter()
+                searches.clear()
                 for seed in range(SEEDS):
                     rng = random.Random("%s %s %d %d" % (params, span, degree, seed))
                     phi, lam = planted(rng, A, degree, span)
                     cell[outcome(phi, lam)] += 1
                     cell.update(eigen_outcomes(phi, lam, rng))
+                cell["fallback"] = searches["fallback"]
                 total.update(cell)
                 print(
                     "%-12s span %.0f deg %2d: %s"

@@ -11,8 +11,9 @@ vanishes and the quadratics from the root-free rest; every arithmetic step
 there divides by a monic polynomial.  The local factors are lifted by
 p-adic Newton (Bairstow) steps, and each candidate is confirmed by integer
 trial division that stops at the first leading term that does not divide.
-Float mode finds all complex roots by Aberth-Ehrlich iteration and clusters
-them by their inclusion discs.
+Float mode finds all complex roots by Aberth-Ehrlich iteration, as conjugate
+pairs first since Phi(x) = N(phi(x)) >= 0 for real x, and clusters them by
+their inclusion discs.
 """
 
 from __future__ import annotations
@@ -374,31 +375,57 @@ def _horner(b, z):
     return p, dp, s
 
 
+def _sweeps(b, z, pairs):
+    """Aberth-Ehrlich sweeps on z, in place, until every |p(z_i)| is below
+    its rounding bound, then one Newton polish.  With ``pairs`` each z_i is
+    above the real axis and stands for itself and its conjugate, so the
+    correction also sums over the conjugates, its own included, and None is
+    returned when a step would cross the axis or the sweeps do not converge."""
+    pool = z + [w.conjugate() for w in z] if pairs else z  # the correction's roots
+    for _ in range(_ABERTH_MAX_ITER):
+        moved, values = False, []
+        for i, zi in enumerate(z):
+            p, dp, scale = _horner(b, zi)
+            values.append((p, dp))
+            if abs(p) > len(b) * _EPS * scale:
+                s = p * sum(1 / (zi - w) for w in pool if w != zi)
+                if dp != s:
+                    z[i] = zi = zi - p / (dp - s)
+                    moved = True
+                    if pairs:
+                        if not zi.imag > 0:
+                            return None
+                        pool[i], pool[i + len(z)] = zi, zi.conjugate()
+        if not moved:
+            break
+    if moved:  # no convergence: the last sweep's values are stale
+        if pairs:
+            return None
+        values = [_horner(b, w)[:2] for w in z]
+    for i, (p, dp) in enumerate(values):
+        if dp != 0:
+            z[i] -= p / dp
+    return z
+
+
 def _aberth(b):
-    """Approximations to all roots of b_0 + ... + b_n z^n with b_0 != 0:
-    Aberth-Ehrlich iteration from the circle of the Fujiwara bound, until
-    every |p(z_i)| is below its rounding bound, then one Newton polish."""
+    """(z, paired): approximations to the roots of the real b_0 + ... + b_n z^n,
+    b_0 != 0, from the circle of twice the Fujiwara bound.  A companion
+    polynomial is N(phi(x)) >= 0 for real x, so its roots come in conjugate
+    pairs and its real roots have even multiplicity: for even n, ``_sweeps``
+    first runs on n/2 pairs above the axis (paired: the roots are z and their
+    conjugates).  An odd n, a crossing or no convergence sweeps all n roots."""
     n = len(b) - 1
     radius = 2 * max(
         abs(b[n - k] / b[n] / (2 if k == n else 1)) ** (1 / k) for k in range(1, n + 1)
     )
+    if n % 2 == 0:
+        start = [radius * cmath.exp(1j * math.pi * (k + 0.5) / (n // 2)) for k in range(n // 2)]
+        z = _sweeps(b, start, True)
+        if z is not None:
+            return z, True
     z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
-    for _ in range(_ABERTH_MAX_ITER):
-        moved = False
-        for i in range(n):
-            p, dp, scale = _horner(b, z[i])
-            if abs(p) > len(b) * _EPS * scale:
-                s = p * sum(1 / (z[i] - w) for w in z if w != z[i])
-                if dp != s:
-                    z[i] -= p / (dp - s)
-                    moved = True
-        if not moved:
-            break
-    for i in range(n):
-        p, dp, _ = _horner(b, z[i])
-        if dp != 0:
-            z[i] -= p / dp
-    return z
+    return _sweeps(b, z, False), False
 
 
 def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
@@ -406,17 +433,19 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     multiset of (re, im) tuples.
 
     Exactly zero low coefficients give the root 0; Aberth iteration finds
-    the others.  A residual above abs_eps + rel_eps * sum_k |b_k| |r|^k
-    raises NumericFailureError with the residuals.  Each approximation z_i
-    then gets the inclusion radius
-    r_i = n (|p(z_i)| + e_i) / |b_n prod_{j != i} (z_i - z_j)|, e_i the
-    rounding bound.  A connected component of k overlapping discs holds
-    exactly k roots (Bini 1996; Bini & Robol 2014): it is one cluster, and
-    its centre, the mean refined by Newton steps on the (k-1)-th
-    derivative, is emitted k times.  A cluster whose disc meets the real
-    axis is real; one above the axis is emitted with its exact conjugate in
-    place of its mirror cluster, and NumericFailureError is raised if the
-    two differ in size.
+    the others, as conjugate pairs when it can (``_aberth``).  A residual
+    above abs_eps + rel_eps * sum_k |b_k| |r|^k raises NumericFailureError
+    with the residuals.  Each approximation z_i then gets the inclusion
+    radius r_i = n (|p(z_i)| + e_i) / |b_n prod_{j != i} (z_i - z_j)|, e_i
+    the rounding bound.  Horner's values at conj(z) are those at z
+    conjugated, so a pair's certificate and radius serve both members.  A
+    connected component of k overlapping discs holds exactly k roots (Bini
+    1996; Bini & Robol 2014): it is one cluster, and its centre, the mean
+    refined by Newton steps on the (k-1)-th derivative, is emitted k times.
+    A cluster whose disc meets the real axis is real; one above the axis is
+    emitted with its exact conjugate in place of its mirror cluster (which
+    is not refined), and NumericFailureError is raised if the two differ in
+    size.
     """
     tol = tol or ToleranceSpec()
     b = _trim([float(c) for c in coeffs])
@@ -425,20 +454,22 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     zeros = next(k for k, c in enumerate(b) if c != 0)
     b = b[zeros:]
     n = len(b) - 1
-    z = _aberth(b) if n else []
-    values = [_horner(b, r) for r in z]
-    residuals = [abs(p) for p, _, _ in values]
+    z, paired = _aberth(b) if n else ([], False)
+    values = [_horner(b, r) for r in z]  # above the axis only, when paired
+    residuals = [abs(p) for p, _, _ in values] * (1 + paired)
+    z += [r.conjugate() for r in z] if paired else []
     radii = []
-    for i, r in enumerate(z):
-        res, scale = residuals[i], values[i][2]
+    for i, (_, _, scale) in enumerate(values):
+        res = residuals[i]
         bound = tol.abs_eps + tol.rel_eps * scale
         if not res <= bound:
             why = "root finder residual %.3e exceeds bound %.3e" % (res, bound)
             if not math.isfinite(res + bound):  # a root beyond float64 range
                 why = "float64 overflow: the polynomial is not finite at a root approximation"
             raise NumericFailureError(why, residuals=sorted(residuals, reverse=True))
-        prod = b[n] * math.prod(r - w for j, w in enumerate(z) if j != i)
+        prod = b[n] * math.prod(z[i] - w for j, w in enumerate(z) if j != i)
         radii.append(n * (res + len(b) * _EPS * scale) / abs(prod) if prod else 0.0)
+    radii *= 1 + paired
 
     clusters = []  # (centre, size); a real centre has imag 0
     unseen = list(range(n))
@@ -454,11 +485,12 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
         if abs(c.imag) <= disc:
             c = complex(c.real, 0.0)
         deriv, w = b, c
-        for _ in range(k - 1):
-            deriv = [j * d for j, d in enumerate(deriv)][1:]
-        for _ in range(3):
-            p, dp = _horner(deriv, w)[:2]
-            w -= p / dp if dp else 0
+        if c.imag >= 0:
+            for _ in range(k - 1):
+                deriv = [j * d for j, d in enumerate(deriv)][1:]
+            for _ in range(3):
+                p, dp = _horner(deriv, w)[:2]
+                w -= p / dp if dp else 0
         clusters.append((w if abs(w - c) <= disc else c, k))
 
     out = [(0.0, 0.0)] * zeros

@@ -14,6 +14,7 @@ therefore replaces any search over twists.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import namedtuple
 
 from .algebra import Octonion
@@ -167,8 +168,13 @@ def verify_eigen_pair(C: CompanionMatrix, lam: Octonion, vec, side) -> bool:
         )
     if all(v.is_exactly_zero() for v in vec):
         raise ValueError("the zero vector is not an eigenvector")
-    alg = lam.algebra
-    ok = True
+    alg, ok = lam.algebra, True
+
+    @functools.cache  # read at the first zero-at-scale test (float mode)
+    def magnitudes():
+        rows = [[x.max_abs() for x in row] for row in C.entries]
+        return rows, [v.max_abs() for v in vec], lam.max_abs()
+
     for r in range(C.degree):
         acc = alg.zero
         for c in range(C.degree):
@@ -176,10 +182,8 @@ def verify_eigen_pair(C: CompanionMatrix, lam: Octonion, vec, side) -> bool:
         want = lam * vec[r] if side == Side.LEFT else vec[r] * lam
 
         def scale():
-            return sum(
-                C.entries[r][c].max_abs() * vec[c].max_abs()
-                for c in range(C.degree)
-            ) + lam.max_abs() * vec[r].max_abs()
+            rows, mv, mlam = magnitudes()
+            return sum(rows[r][c] * mv[c] for c in range(C.degree)) + mlam * mv[r]
 
         ok = ok and (acc - want).is_zero(scale)
     return ok

@@ -18,7 +18,8 @@ from .scalars import EXACT, over_common_denominator
 
 class StandardPolynomial:
     """Coefficient list c_0..c_n over one algebra; the zero polynomial is
-    rejected and trailing zero coefficients are stripped at construction."""
+    rejected and trailing zero coefficients are stripped at construction.
+    ``magnitudes``: each c_i.max_abs() in float mode, None in exact mode."""
 
     def __init__(self, algebra: OctonionAlgebra, coeffs):
         converted = []
@@ -34,6 +35,7 @@ class StandardPolynomial:
             raise ValueError("the zero polynomial is not a valid StandardPolynomial")
         self.algebra = algebra
         self.coeffs = tuple(converted)
+        self.magnitudes = None if algebra.mode == EXACT else tuple(c.max_abs() for c in converted)
 
     @property
     def degree(self):

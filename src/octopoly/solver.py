@@ -64,7 +64,7 @@ def verify_root(phi: StandardPolynomial, lam: Octonion) -> bool:
 
     def scale():
         lam_mag = lam.max_abs()
-        return sum(c.max_abs() * lam_mag**i for i, c in enumerate(phi.coeffs))
+        return sum(m * lam_mag**i for i, m in enumerate(phi.magnitudes))
 
     return value.is_zero(scale)
 
@@ -175,7 +175,7 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
 
     def scale(k):
         """Magnitude the sum E (k = 0) or G (k = 1) lives at (float mode)."""
-        return lambda: sum(c.max_abs() * abs(w) for c, w in zip(phi.coeffs, weights[k]))
+        return lambda: sum(m * abs(w) for m, w in zip(phi.magnitudes, weights[k]))
 
     if red.E.is_zero(scale(0)):
         if red.G.is_zero(scale(1)):

@@ -5,6 +5,8 @@ Deliberately written along a different path than the package: explicit
 single doubling step to octonions.  Operates on plain 8-tuples of Fractions.
 """
 
+import cmath
+import math
 from fractions import Fraction
 
 
@@ -89,6 +91,36 @@ def horner_loops(b, z):
     for c in reversed(b):
         scale = scale * abs(z) + abs(c)
     return p, dp, value, scale
+
+
+def full_aberth(b):
+    """The float root finder's former iteration on all n roots at once:
+    Aberth-Ehrlich sweeps from n points on the circle of twice the Fujiwara
+    bound, until every |p(z_i)| is below its rounding bound, then one Newton
+    polish with fresh Horner values.  The reference of ``central._aberth``,
+    which sweeps conjugate pairs first and falls back to this iteration;
+    at most 200 sweeps, 2^-52 twice the unit roundoff."""
+    n = len(b) - 1
+    radius = 2 * max(
+        abs(b[n - k] / b[n] / (2 if k == n else 1)) ** (1 / k) for k in range(1, n + 1)
+    )
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    for _ in range(200):
+        moved = False
+        for i in range(n):
+            p, dp, _, scale = horner_loops(b, z[i])
+            if abs(p) > len(b) * 2.0**-52 * scale:
+                s = p * sum(1 / (z[i] - w) for w in z if w != z[i])
+                if dp != s:
+                    z[i] -= p / (dp - s)
+                    moved = True
+        if not moved:
+            break
+    for i in range(n):
+        p, dp, _, _ = horner_loops(b, z[i])
+        if dp != 0:
+            z[i] -= p / dp
+    return z
 
 
 def fraction_nullspace_vector(rows):

@@ -2,6 +2,7 @@
 root finder, and candidate bookkeeping."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,10 +24,11 @@ from octopoly import (
     parse_polynomial,
     solve,
 )
+from octopoly import central
 from octopoly.central import _horner
 from octopoly.scalars import over_common_denominator
 from conftest import rand_invertible, rand_octonion
-from oracle import horner_loops
+from oracle import full_aberth, horner_loops
 
 F = Fraction
 
@@ -532,6 +534,106 @@ def test_horner_matches_the_three_reference_loops_bit_for_bit():
         assert scale.hex() == ref_scale.hex()
 
 
+def test_horner_at_the_conjugate_is_the_conjugate():
+    # with real b, _horner(b, conj(z)) is conj(_horner(b, z)) bit for bit up
+    # to the sign of a zero part (adding a real coefficient makes a zero
+    # imaginary part +0.0 on both sides), and |p| and the rounding scale are
+    # the same bits: numeric_roots mirrors its certificates on this
+    rng = random.Random(19)
+    pool = [0.0, -0.0, 1e-300, -5e-324, 1e-30, 1.0, -2.5, 1e30, 1e300, -1e-300]
+    for _ in range(500):
+        b = [
+            rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-10, 10)
+            for _ in range(rng.randint(1, 18))
+        ]
+        mag = 10.0 ** rng.uniform(-8, 8)
+        z = complex(rng.uniform(-mag, mag), rng.choice([0.0, -0.0, rng.uniform(-mag, mag)]))
+        p, dp, scale = _horner(b, z)
+        q, dq, mirror_scale = _horner(b, z.conjugate())
+        for x, y in ((p, q), (dp, dq)):
+            for u, v in ((x.real, y.real), (-x.imag, y.imag)):
+                assert u.hex() == v.hex() or u == v == 0 or math.isnan(u) and math.isnan(v)
+        assert abs(p).hex() == abs(q).hex()
+        assert scale.hex() == mirror_scale.hex()
+
+
+def _spy_sweeps(monkeypatch):
+    """A list that records (pairs, converged) for each ``_sweeps`` call."""
+    calls, sweeps = [], central._sweeps
+
+    def spy(b, z, pairs):
+        out = sweeps(b, z, pairs)
+        calls.append((pairs, out is not None))
+        return out
+
+    monkeypatch.setattr(central, "_sweeps", spy)
+    return calls
+
+
+def _former_aberth(b):
+    """``central._aberth`` as it was: the iteration on all roots, unpaired."""
+    return full_aberth(b), False
+
+
+def test_pair_roots_agree_with_the_full_iteration(monkeypatch):
+    # companions of random float polynomials of degree 1-24 over three
+    # algebras: the same field degrees and multiplicities as the iteration
+    # on all roots, traces and norms within 1e-9 relative
+    calls = _spy_sweeps(monkeypatch)
+    for params in [(-1, -1, -1), (-2, -3, -5), (-7, -11, -13)]:
+        A = OctonionAlgebra(*params, mode="float")
+        rng = random.Random(str(params))
+        for degree in range(1, 25):
+            phi = StandardPolynomial(A, [rand_octonion(rng, A, -1, 1) for _ in range(degree + 1)])
+            Phi = companion(phi)
+            got = central.float_candidates(Phi, A.tol)
+            with monkeypatch.context() as m:
+                m.setattr(central, "_aberth", _former_aberth)
+                want = central.float_candidates(Phi, A.tol)
+            assert [c[2:] for c in got] == [c[2:] for c in want]
+            for g, w in zip(got, want):
+                assert g[:2] == pytest.approx(w[:2], rel=1e-9, abs=0)
+    paired = sum(1 for pairs, converged in calls if pairs and converged)
+    assert paired >= 0.9 * 72  # a few transients cross the axis and fall back
+
+
+def test_real_roots_of_odd_multiplicity_fall_back_to_the_full_iteration(monkeypatch):
+    # z and conj(z) cannot both approach a simple real root, so the pair
+    # sweeps fail and the roots are bit for bit those of the full iteration
+    rng = random.Random(190)
+    polys = [[2.0, -3.0, 3.0, -3.0, 1.0]]  # (z - 1)(z - 2)(z^2 + 1)
+    for _ in range(30):
+        b = [1.0]  # 2 or 4 simple real roots and 0-3 complex pairs
+        for _ in range(rng.choice([2, 4])):
+            b = _times(b, [rng.uniform(-3, 3), 1.0])
+        for _ in range(rng.randint(0, 3)):
+            b = _times(b, [rng.uniform(1, 4), rng.uniform(-2, 2), 1.0])
+        polys.append(b)
+    for b in polys:
+        z, paired = central._aberth(list(b))
+        assert not paired
+        assert [_bits(w) for w in z] == [_bits(w) for w in full_aberth(list(b))]
+        roots = numeric_roots(b)
+        with monkeypatch.context() as m:
+            m.setattr(central, "_aberth", _former_aberth)
+            assert [tuple(map(float.hex, r)) for r in numeric_roots(b)] == [
+                tuple(map(float.hex, r)) for r in roots
+            ]
+
+
+def test_a_crossing_or_no_convergence_falls_back(monkeypatch):
+    # z^2 - 1 from 1.41i: the first pair step lands at -0.28i
+    calls = _spy_sweeps(monkeypatch)
+    assert sorted(numeric_roots([-1.0, 0.0, 1.0])) == [(-1.0, 0.0), (1.0, 0.0)]
+    assert calls == [(True, False), (False, True)]
+    # a pair sweep that does not converge within the cap falls back too
+    calls.clear()
+    monkeypatch.setattr(central, "_ABERTH_MAX_ITER", 2)
+    z, paired = central._aberth([5.0, 4.0, 3.0, 2.0, 1.0])
+    assert not paired and len(z) == 4
+    assert calls == [(True, False), (False, True)]
+
+
 def test_numeric_roots_failure_carries_residuals():
     # an unachievable tolerance raises instead of returning bad roots
     with pytest.raises(NumericFailureError) as info:
@@ -594,6 +696,7 @@ def test_float_count_conservation(rng):
 
 
 def _planted_float(rng, A, degree, span):
+    """(a monic float phi of the degree with the root lam, lam)."""
     lam = rand_octonion(rng, A, -span, span)
     tail = [rand_octonion(rng, A, -span, span) for _ in range(degree - 1)] + [A.one]
     c0 = A.zero
@@ -601,7 +704,7 @@ def _planted_float(rng, A, degree, span):
     for c in tail:
         power = lam * power
         c0 = c0 + c * power
-    return StandardPolynomial(A, [-c0] + tail)
+    return StandardPolynomial(A, [-c0] + tail), lam
 
 
 def test_float_candidates_match_mpmath_clusters():
@@ -615,7 +718,7 @@ def test_float_candidates_match_mpmath_clusters():
     phis = []
     for params in [(-1, -1, -1), (-2, -3, -5)]:
         A = OctonionAlgebra(*params, mode="float")
-        phis += [_planted_float(rng, A, degree, 2) for degree in (3, 9, 16)]
+        phis += [_planted_float(rng, A, degree, 2)[0] for degree in (3, 9, 16)]
         real = [rng.uniform(-2, 2) for _ in range(5)] + [1.0]
         phis.append(StandardPolynomial(A, real))
     for phi in phis:
@@ -647,3 +750,15 @@ def test_float_candidates_match_mpmath_clusters():
         for g, w in zip(got, want):
             assert g[2:] == w[2:]
             assert g[:2] == pytest.approx(w[:2], abs=1e-6)
+
+
+@pytest.mark.parametrize("params", [(-1, -1, -1), (-2, -3, -5)])
+def test_degree_64_float_solve_as_pairs(params, monkeypatch):
+    # groundwork for a higher degree cap: Phi has degree 128 and is solved
+    # as 64 conjugate pairs, with no fallback to the full iteration
+    calls = _spy_sweeps(monkeypatch)
+    A = OctonionAlgebra(*params, mode="float")
+    phi, lam = _planted_float(random.Random("%s 64" % (params,)), A, 64, 1)
+    report = solve(phi)
+    assert calls == [(True, True)]
+    assert min((root - lam).max_abs() for root in report.roots) <= 1e-6

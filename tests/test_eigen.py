@@ -25,6 +25,7 @@ from octopoly import (
     twist_two_sided,
     verify_eigen_pair,
 )
+from octopoly.algebra import Octonion
 from octopoly.polynomials import eg_sequence
 from conftest import rand_invertible, rand_octonion
 
@@ -378,3 +379,38 @@ def test_operator_columns_are_the_products(mode, params, rng):
                 else:
                     nums, den = col
                     assert tuple(F(n, den) for n in nums) == want.coords
+
+
+def test_verify_eigen_pair_reads_each_magnitude_once(monkeypatch):
+    # one max_abs() per matrix entry, vector entry and lam per check, at
+    # the first row's zero test; the row scales are the former per-row
+    # sums bit for bit
+    A = OctonionAlgebra(-1, -1, -1, mode="float")
+    rng = random.Random(19)
+    lam = rand_octonion(rng, A, -2, 2)
+    tail = [rand_octonion(rng, A, -2, 2) for _ in range(3)] + [A.one]
+    c0 = sum((c * lam**(i + 1) for i, c in enumerate(tail)), A.zero)
+    phi = StandardPolynomial(A, [-c0] + tail)
+    rep = rev_test(phi, lam)
+    C, vec = companion_matrix(phi), rep.eigenvector
+    scales, calls = [], []
+    backend, max_abs = type(A.backend), Octonion.max_abs
+
+    def spy(self, v, scale=None):
+        scales.append(scale())
+        return True
+
+    def counted(x):
+        calls.append(x)
+        return max_abs(x)
+
+    monkeypatch.setattr(backend, "vector_is_zero", spy)
+    monkeypatch.setattr(Octonion, "max_abs", counted)
+    assert verify_eigen_pair(C, lam, vec, Side.RIGHT)
+    assert len(calls) == C.degree**2 + C.degree + 1
+    monkeypatch.undo()
+    for r, scale in enumerate(scales):
+        want = sum(
+            C.entries[r][c].max_abs() * vec[c].max_abs() for c in range(C.degree)
+        ) + lam.max_abs() * vec[r].max_abs()
+        assert scale.hex() == want.hex()

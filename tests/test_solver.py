@@ -13,7 +13,9 @@ from octopoly import (
     StandardPolynomial,
     UnsupportedAlgebraError,
     ClassCandidate,
+    central_roots,
     class_witness,
+    companion,
     eval_at,
     parse_polynomial,
     resolve_class,
@@ -22,6 +24,7 @@ from octopoly import (
     solve,
     verify_root,
 )
+from octopoly.polynomials import power_weights, reduce_to_linear
 from conftest import rand_invertible, rand_octonion
 
 F = Fraction
@@ -275,3 +278,40 @@ def test_report_echo(alg):
     assert rep.polynomial == phi
     assert rep.mode == "exact"
     assert rep.algebra is alg
+
+
+def _record_scales(monkeypatch, algebra):
+    """A dict from each vector tested for zero to the value of its scale."""
+    seen, backend = {}, type(algebra.backend)
+    test = backend.vector_is_zero
+
+    def spy(self, v, scale=None):
+        seen[tuple(v)] = scale() if scale else None
+        return test(self, v, scale)
+
+    monkeypatch.setattr(backend, "vector_is_zero", spy)
+    return seen
+
+
+def test_zero_scales_read_the_stored_magnitudes(alg, monkeypatch):
+    # a float phi keeps each coefficient's max_abs() from construction (an
+    # exact phi none), and the scales of verify_root and of E in
+    # resolve_class sum them in the former order, bit for bit
+    assert parse_polynomial("z^2 + i", alg).magnitudes is None
+    A = OctonionAlgebra(-2, -3, -5, mode="float")
+    seen = _record_scales(monkeypatch, A)
+    rng = random.Random(19)
+    for degree in (2, 4, 7):
+        phi, lam = _plant(rng, A, degree)
+        assert phi.magnitudes == tuple(c.max_abs() for c in phi.coeffs)
+        seen.clear()
+        assert verify_root(phi, lam)
+        want = sum(c.max_abs() * lam.max_abs() ** i for i, c in enumerate(phi.coeffs))
+        assert [x.hex() for x in seen.values()] == [want.hex()]
+        for cand in central_roots(companion(phi), A.tol).candidates:
+            weights = power_weights(cand.trace, cand.norm, 1, phi.degree)
+            E = reduce_to_linear(phi, cand.norm, cand.trace, weights).E
+            seen.clear()
+            resolve_class(phi, cand)
+            want = sum(c.max_abs() * abs(w) for c, w in zip(phi.coeffs, weights[0]))
+            assert cand.field_degree == 1 or seen[E.vec].hex() == want.hex()
