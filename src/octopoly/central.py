@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import NumericFailureError
 from .polynomials import CentralPolynomial
-from .scalars import EXACT, ToleranceSpec, backend_for
+from .scalars import ToleranceSpec
 
 _ABERTH_MAX_ITER = 200
 _SQUARE_FREE_TRIES = 6  # odd primes p not dividing lc(R) tried before the PRS
@@ -320,7 +320,7 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
         raise ValueError("exact_quadratic_factors needs exact-rational coefficients")
     nums, den = Phi.ints
     if len(nums) < 2:
-        return ExactFactorization((), CentralPolynomial(nums, EXACT, den))
+        return ExactFactorization((), CentralPolynomial(nums, den=den))
     R = _primitive(list(nums))
     found = _square_free_mod_p(R, _SQUARE_FREE_TRIES)
     S = R
@@ -353,8 +353,8 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
         return (1, -F[0] * k) if len(F) == 2 else (2, F[0] * k, F[1] * k)
 
     factors.sort(key=key)
-    factors = tuple((CentralPolynomial(F, EXACT, F[-1]), mult) for F, mult in factors)
-    rest = CentralPolynomial([nums[-1] * c for c in R], EXACT, den * R[-1])
+    factors = tuple((CentralPolynomial(F, den=F[-1]), mult) for F, mult in factors)
+    rest = CentralPolynomial([nums[-1] * c for c in R], den=den * R[-1])
     return ExactFactorization(factors, rest)
 
 
@@ -441,11 +441,11 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     conjugated, so a pair's certificate and radius serve both members.  A
     connected component of k overlapping discs holds exactly k roots (Bini
     1996; Bini & Robol 2014): it is one cluster, and its centre, the mean
-    refined by Newton steps on the (k-1)-th derivative, is emitted k times.
-    A cluster whose disc meets the real axis is real; one above the axis is
-    emitted with its exact conjugate in place of its mirror cluster (which
-    is not refined), and NumericFailureError is raised if the two differ in
-    size.
+    refined by Newton steps on the (k-1)-th derivative (three, or fewer when
+    one leaves it unchanged), is emitted k times.  A cluster whose disc
+    meets the real axis is real; one above the axis is emitted with its
+    exact conjugate in place of its mirror cluster (which is not refined),
+    and NumericFailureError is raised if the two differ in size.
     """
     tol = tol or ToleranceSpec()
     b = _trim([float(c) for c in coeffs])
@@ -490,7 +490,9 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
                 deriv = [j * d for j, d in enumerate(deriv)][1:]
             for _ in range(3):
                 p, dp = _horner(deriv, w)[:2]
-                w -= p / dp if dp else 0
+                last, w = w, w - (p / dp if dp else 0)
+                if w == last and repr(w) == repr(last):  # unchanged, signed zeros too
+                    break
         clusters.append((w if abs(w - c) <= disc else c, k))
 
     out = [(0.0, 0.0)] * zeros
@@ -564,10 +566,20 @@ def central_roots(Phi: CentralPolynomial, tol=None):
     """Conjugacy-class candidates for all closure roots of Phi of degree <= 2.
 
     Candidates are deduplicated on (trace, norm) with summed multiplicity and
-    sorted by (norm, -trace).  In exact mode the factor search is complete,
-    so every closure root of degree <= 2 yields a candidate and the roots
-    generating extensions of degree > 2 make up ``discarded_degree``.
+    sorted by (norm, -trace).  Exact Phi (``Phi.ints``) takes the complete
+    factor search: every closure root of degree <= 2 yields a candidate, and
+    the roots generating extensions of degree > 2 make up
+    ``discarded_degree``.  Float Phi takes the root clusters under ``tol``,
+    and a trace or norm beyond float64 raises NumericFailureError.
     """
     if Phi.degree < 1:
         raise ValueError("central_roots needs a nonconstant polynomial")
-    return backend_for(Phi.mode, tol).class_candidates(Phi)
+    if Phi.ints is not None:
+        return exact_candidates(Phi)
+    cands = tuple(float_candidates(Phi, tol))
+    for c in cands:
+        if not (math.isfinite(c.trace) and math.isfinite(c.norm)):
+            raise NumericFailureError(
+                "float64 overflow: class invariants trace=%r, norm=%r" % (c.trace, c.norm)
+            )
+    return CentralRoots(cands)

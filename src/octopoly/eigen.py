@@ -18,8 +18,9 @@ import functools
 from collections import namedtuple
 
 from .algebra import Octonion
-from .polynomials import StandardPolynomial, linear_form, power_weights, reduce_to_linear
-from .solver import class_embeds, companion_classes, verify_root
+from .central import central_roots
+from .polynomials import StandardPolynomial, companion, linear_form, power_weights, reduce_to_linear
+from .solver import class_embeds, verify_root
 
 
 class Side(enum.Enum):
@@ -147,7 +148,7 @@ def rev_classes(phi: StandardPolynomial):
         raise ValueError("rev_classes requires a monic polynomial")
     return [
         cand
-        for cand in companion_classes(phi)[1].candidates
+        for cand in central_roots(companion(phi), tol=phi.algebra.tol).candidates
         if cand.field_degree == 1 or class_embeds(phi.algebra, cand.norm, cand.trace)
     ]
 

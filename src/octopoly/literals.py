@@ -26,6 +26,7 @@ import re
 
 from .algebra import Octonion
 from .errors import ParseError
+from .polynomials import StandardPolynomial
 
 BASIS_SYMBOLS = {"1": 0, "i": 1, "j": 2, "k": 3, "l": 4, "il": 5, "jl": 6, "kl": 7}
 _SYMBOL_FOR_INDEX = {0: "1", 1: "i", 2: "j", 3: "k", 4: "l", 5: "il", 6: "jl", 7: "kl"}
@@ -156,8 +157,6 @@ def parse_polynomial(text, algebra):
     Duplicate degrees are summed and missing degrees are zero; a polynomial
     that sums to zero, or a degree above 16, is a parse error.
     """
-    from .polynomials import StandardPolynomial
-
     p = _Parser(text, algebra)
     tokens = p.tokens
     if not tokens[0]:

@@ -84,20 +84,20 @@ class CentralPolynomial:
 
     Trailing zero coefficients are stripped and the zero polynomial is
     rejected at construction.  ``ints = (nums, den)`` holds exact
-    coefficients as ints over one positive denominator (None for others).
-    Given ``den``, ``coeffs`` are such numerators, and their reduced
-    Fractions are built when ``coeffs`` is first read.  The record does no
-    arithmetic of its own beyond evaluation; the exact factor search in
-    ``central`` works on ``ints``.
+    coefficients as ints over one positive denominator; a float coefficient
+    makes it None, and the polynomial a float one.  Given ``den``,
+    ``coeffs`` are such numerators, and their reduced Fractions are built
+    when ``coeffs`` is first read.  The record does no arithmetic of its
+    own beyond evaluation; the factor search in ``central`` uses ``ints``.
     """
 
-    def __init__(self, coeffs, mode=EXACT, den=None):
+    def __init__(self, coeffs, *, den=None):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         if not coeffs:
             raise ValueError("the zero polynomial is not a valid CentralPolynomial")
-        self.degree, self.mode = len(coeffs) - 1, mode
+        self.degree = len(coeffs) - 1
         self._coeffs = None if den else tuple(coeffs)
         self.ints = (tuple(coeffs), den) if den else None
         if not den and all(isinstance(c, (int, Fraction)) for c in coeffs):
@@ -138,11 +138,10 @@ def companion(phi: StandardPolynomial) -> CentralPolynomial:
     from the polar form of the norm: Norm(c) = <c,c> and
     Tr(conj(c_i) c_j) = 2<c_i,c_j>, so no octonion product is formed.  The
     backend sums them: exactly on ints over one denominator, or in float64
-    pair by pair in a fixed order.
+    pair by pair in a fixed order, refusing a sum that is not finite.
     """
-    alg = phi.algebra
-    b, den = alg.backend.companion_form([c.vec for c in phi.coeffs])
-    return CentralPolynomial(b, alg.mode, den)
+    b, den = phi.algebra.backend.companion_form([c.vec for c in phi.coeffs])
+    return CentralPolynomial(b, den=den)
 
 
 def eg_sequence(norm, trace, zero, one):

@@ -2,10 +2,9 @@
 
 An algebra holds one backend, which owns every choice that depends on the
 scalars: coercion, the value of a literal's number token and the text
-form, zero tests, square roots, the nullspace routine, the class
-candidates of a companion polynomial (and, in float mode, the check that
-float64 kept it), the algebra's norm form (``norm_form``) with the tests
-and maps read from it (inverse, class invariants, embedding of a class),
+form, zero tests, square roots, the nullspace routine, the algebra's norm
+form (``norm_form``) with the tests and maps read from it (inverse, class
+invariants, embedding of a class, the companion polynomial's coefficients),
 and the storage of octonion coordinate vectors with their arithmetic.
 Exact mode stores a vector as 8 ints over one positive denominator, kept
 canonical (gcd(den, n_0..n_7) = 1, zero over 1), so a product or sum costs
@@ -165,10 +164,6 @@ class _Backend:
         """x - y of two vectors (x + (-y) is exact in both backends)."""
         return self.add(x, self.neg(y))
 
-    def check_companion(self, Phi, n):
-        """Accept the companion polynomial Phi of a degree-n polynomial over a
-        division algebra; exact coefficients cannot go out of range."""
-
     def _hold_structure(self, coeffs, tden, start):
         """Compile and return the product of coordinate sequences under the
         structure table ``coeffs[a][b] = (c, k)`` over the denominator
@@ -267,11 +262,6 @@ class Exact(_Backend):
         den = math.lcm(*(d for _, d in columns))
         scaled = [[n * (den // d) for n in nums] for nums, d in columns]
         return linalg.exact_nullspace_vector(list(zip(*scaled)))
-
-    def class_candidates(self, Phi):
-        from . import central  # central imports this module through algebra
-
-        return central.exact_candidates(Phi)
 
     # -- vectors -----------------------------------------------------------
 
@@ -462,34 +452,6 @@ class Float(_Backend):
         x = linalg.float_nullspace_vector(list(zip(*columns)), self.tol)
         return None if x is None else self.vector(x)
 
-    def check_companion(self, Phi, n):
-        """Raise NumericFailureError when float64 lost the companion
-        polynomial Phi of a degree-n polynomial over a division algebra: a
-        coefficient overflowed, or Norm(c_n) > 0 underflowed to 0 so that
-        Phi has degree below 2n."""
-        for k, b in enumerate(Phi.coeffs):
-            if not math.isfinite(b):
-                raise NumericFailureError(
-                    "float64 overflow: companion coefficient b_%d is %r" % (k, b)
-                )
-        if Phi.degree < 2 * n:
-            raise NumericFailureError(
-                "float64 underflow: the norm of the leading coefficient is 0, "
-                "so the companion polynomial has degree %d < %d" % (Phi.degree, 2 * n)
-            )
-
-    def class_candidates(self, Phi):
-        from . import central  # central imports this module through algebra
-
-        cands = tuple(central.float_candidates(Phi, self.tol))
-        for c in cands:
-            if not (math.isfinite(c.trace) and math.isfinite(c.norm)):
-                raise NumericFailureError(
-                    "float64 overflow: class invariants trace=%r, norm=%r"
-                    % (c.trace, c.norm)
-                )
-        return central.CentralRoots(cands)
-
     # -- vectors -----------------------------------------------------------
 
     def vector(self, coords):
@@ -558,7 +520,8 @@ class Float(_Backend):
     def companion_form(self, vecs):
         """(b, None): the companion coefficients b_k = sum_{i+j=k} <v_i,v_j>
         of a vector list v_0..v_n, each summed from 0.0, pair by pair in i
-        order, a pair i < j adding <v_i,v_j> doubled."""
+        order, a pair i < j adding <v_i,v_j> doubled.  A b_k that is not
+        finite raises NumericFailureError."""
         n = len(vecs) - 1
         b = [0.0] * (2 * n + 1)
         for i, u in enumerate(vecs):
@@ -566,6 +529,11 @@ class Float(_Backend):
             for j in range(i + 1, n + 1):
                 t = self.inner(u, vecs[j])
                 b[i + j] += t + t
+        for k, x in enumerate(b):
+            if not math.isfinite(x):
+                raise NumericFailureError(
+                    "float64 overflow: companion coefficient b_%d is %r" % (k, x)
+                )
         return b, None
 
     def multiplier(self, table):

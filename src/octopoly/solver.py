@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .algebra import SPLIT, Octonion, OctonionAlgebra
 from .central import ClassCandidate, central_roots
-from .errors import SingularElementError, UnsupportedAlgebraError
+from .errors import NumericFailureError, SingularElementError, UnsupportedAlgebraError
 from .polynomials import StandardPolynomial, companion, eval_at, power_weights, reduce_to_linear
 
 SINGLE_ROOT = "single_root"
@@ -203,19 +203,13 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
     return ClassResolution(NOT_EMBEDDABLE)
 
 
-def companion_classes(phi: StandardPolynomial):
-    """The companion polynomial of phi, checked, and its central_roots."""
-    Phi = companion(phi)
-    phi.algebra.backend.check_companion(Phi, phi.degree)
-    return Phi, central_roots(Phi, tol=phi.algebra.tol)
-
-
 def solve(phi: StandardPolynomial) -> RootReport:
     """Find all roots of a nonconstant polynomial over a division algebra.
 
-    Split algebras are rejected outright.  The companion polynomial's class
-    candidates are resolved independently and in order; resolve_class
-    emits a root or witness only after its one substitution check.
+    Split algebras are rejected outright, so Phi of degree below 2n means
+    float64 lost Norm(c_n) > 0.  The companion polynomial's class candidates
+    are resolved independently and in order; resolve_class emits a root or
+    witness only after its one substitution check.
     """
     if phi.degree < 1:
         raise ValueError("solve needs a polynomial of degree >= 1")
@@ -231,7 +225,13 @@ def solve(phi: StandardPolynomial) -> RootReport:
             "the algebra is split (%s); roots are only classified over "
             "division algebras" % why
         )
-    Phi, found = companion_classes(phi)
+    Phi = companion(phi)
+    if Phi.degree < 2 * phi.degree:
+        raise NumericFailureError(
+            "float64 underflow: the norm of the leading coefficient is 0, "
+            "so the companion polynomial has degree %d < %d" % (Phi.degree, 2 * phi.degree)
+        )
+    found = central_roots(Phi, tol=alg.tol)
     warnings = list(found.warnings)
     if found.discarded_degree:
         warnings.append(

@@ -375,7 +375,26 @@ def test_factors_zero_roots():
 
 def test_factors_reject_float():
     with pytest.raises(ValueError):
-        exact_quadratic_factors(CentralPolynomial([1.0, 0.0, 1.0], "float"))
+        exact_quadratic_factors(CentralPolynomial([1.0, 0.0, 1.0]))
+
+
+def test_coefficients_choose_the_candidate_routine():
+    # one float coefficient makes the polynomial a float one; ints and
+    # Fractions alone keep it exact
+    for coeffs in ([1.0, 0, 1], [1, 0.0, F(1)], [1, 0, 1.0]):
+        Phi = CentralPolynomial(coeffs)
+        assert Phi.ints is None
+        (c,) = central_roots(Phi).candidates
+        assert type(c.trace) is float and type(c.norm) is float
+        assert (c.field_degree, c.multiplicity) == (2, 1)
+        with pytest.raises(ValueError):
+            exact_quadratic_factors(Phi)
+    for coeffs in ([1, 0, 1], [F(1, 2), 0, F(1, 2)], [F(1), 0, 1]):
+        Phi = CentralPolynomial(coeffs)
+        assert Phi.ints is not None
+        (c,) = central_roots(Phi).candidates
+        assert (c.trace, c.norm, c.field_degree, c.multiplicity) == (0, 1, 2, 1)
+        assert type(c.trace) is F and type(c.norm) is F
 
 
 # -- central_roots, exact -----------------------------------------------------
@@ -489,7 +508,7 @@ def test_float_class_invariants_must_be_finite(monkeypatch):
         central, "float_candidates", lambda Phi, tol: [ClassCandidate(1e200, float("inf"), 2, 1)]
     )
     with pytest.raises(NumericFailureError, match="float64 overflow: class invariants"):
-        central_roots(CentralPolynomial([1.0, 0.0, 1.0], "float"))
+        central_roots(CentralPolynomial([1.0, 0.0, 1.0]))
 
 
 def test_numeric_roots_conjugate_symmetry(rng):
@@ -669,7 +688,7 @@ def test_candidate_soundness_exact(rng):
 
 
 def test_float_candidates_square():
-    Phi = CentralPolynomial([1.0, 0.0, 2.0, 0.0, 1.0], "float")
+    Phi = CentralPolynomial([1.0, 0.0, 2.0, 0.0, 1.0])
     got = central_roots(Phi).candidates
     assert len(got) == 1
     c = got[0]
@@ -680,7 +699,7 @@ def test_float_candidates_square():
 
 def test_float_candidates_mixed():
     # (z - 1)(z - 2)(z^2 + 1)
-    Phi = CentralPolynomial([2.0, -3.0, 3.0, -3.0, 1.0], "float")
+    Phi = CentralPolynomial([2.0, -3.0, 3.0, -3.0, 1.0])
     got = central_roots(Phi).candidates
     keys = sorted((round(c.trace, 6), round(c.norm, 6), c.field_degree) for c in got)
     assert keys == [(0.0, 1.0, 2), (2.0, 1.0, 1), (4.0, 4.0, 1)]
@@ -690,7 +709,7 @@ def test_float_count_conservation(rng):
     for _ in range(15):
         deg = rng.randint(2, 8)
         coeffs = [rng.uniform(-4, 4) for _ in range(deg)] + [rng.uniform(0.5, 2)]
-        Phi = CentralPolynomial(coeffs, "float")
+        Phi = CentralPolynomial(coeffs)
         got = central_roots(Phi).candidates
         assert sum(c.field_degree * c.multiplicity for c in got) == deg
 

@@ -597,3 +597,12 @@ def test_cli_leading_minus_values_in_both_forms(capsys):
     assert outs[0] == outs[1] and outs[2] == outs[3]
     assert json.loads(outs[0])["member"] is True
     assert json.loads(outs[2])["polynomial"]["coefficients"][2][0] == "-1"
+
+
+def test_cli_leading_norm_underflow_message(capsys):
+    # solve refuses a leading norm lost to underflow with this whole message
+    assert main(["solve", "--mode", "float", "--poly", "1e-170*z^2 + 1"]) == 4
+    assert capsys.readouterr().err == (
+        "numeric failure: float64 underflow: the norm of the leading coefficient "
+        "is 0, so the companion polynomial has degree 2 < 4\n"
+    )

@@ -294,7 +294,30 @@ def test_central_polynomial_basics(alg):
     assert p(alg.basis_element(1)) == alg.one  # 2 + i^2
     # trailing zeros are stripped, exact or float
     assert CentralPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
-    assert CentralPolynomial([1.5, 0.0, 0.0], "float").coeffs == (1.5,)
+    assert CentralPolynomial([1.5, 0.0, 0.0]).coeffs == (1.5,)
     for zero in ([0, 0], [0.0], []):
         with pytest.raises(ValueError):
             CentralPolynomial(zero)
+
+
+def test_float_companion_refuses_an_overflowed_coefficient():
+    # Norm(1e200) = 1e400 is beyond float64; companion itself refuses it
+    A = OctonionAlgebra(-1, -1, -1, mode="float")
+    phi = parse_polynomial("z + 1e200", A)
+    with pytest.raises(NumericFailureError) as info:
+        companion(phi)
+    assert str(info.value) == "float64 overflow: companion coefficient b_0 is inf"
+
+
+def test_float_companion_over_a_split_algebra_keeps_a_zero_leading_norm():
+    # over (1, -1, -1) the leading coefficient 1 + i has norm 0 in exact
+    # arithmetic, so Phi of degree 3 < 4 is genuine and companion accepts it
+    A = OctonionAlgebra(1, -1, -1, mode="float")
+    Phi = companion(parse_polynomial("(1 + i)*z^2 + z + 1", A))
+    assert Phi.degree == 3
+    assert Phi.coeffs == (1.0, 2.0, 3.0, 2.0)
+
+
+def test_central_polynomial_takes_no_mode():
+    with pytest.raises(TypeError):
+        CentralPolynomial([1.0, 0.0, 1.0], "float")
