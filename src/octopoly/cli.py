@@ -14,12 +14,16 @@ parameter, a negative or non-finite tolerance), a ``ValueError`` or
 ``TypeError`` contract error (e.g. a non-monic eigen polynomial) or any
 other ``OctopolyError``; 3 ``UnsupportedAlgebraError`` (split algebra) or
 ``SingularElementError`` (an element of zero norm was inverted); 4
-``NumericFailureError``.
+``NumericFailureError``.  A process (``console_entry``) also exits 1 when
+its stdout is closed before the JSON is written (a pipe whose reader has
+exited); it prints no traceback then.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -33,6 +37,7 @@ from .scalars import EXACT, FLOAT, ToleranceSpec
 from .solver import FULL_CLASS, SINGLE_ROOT, solve
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1  # set by console_entry only
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NUMERIC = 4
@@ -219,4 +224,23 @@ def main(argv=None):
 
 
 def console_entry():
-    raise SystemExit(main())
+    """Run ``main`` on the process's argv and exit with its code: the
+    ``octopoly`` console script and ``python -m octopoly``.
+
+    A closed stdout (``BrokenPipeError``) exits 1 with nothing more printed:
+    stdout is pointed at the null device first, so the flush at shutdown
+    cannot fail again.  Before the exit every object is moved to the frozen
+    generation (``gc.freeze``), which no collection walks, so the shutdown
+    collections skip the few thousand objects of the import; the interpreter
+    still shuts down normally, so atexit hooks (a profiler's, a coverage
+    tool's) run.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    gc.freeze()
+    raise SystemExit(code)
