@@ -25,7 +25,6 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
 from .errors import ConfigurationError, SingularElementError
@@ -35,11 +34,9 @@ DIVISION = "division"
 SPLIT = "split"
 
 
-class DivisionCheck(namedtuple("DivisionCheck", "status witness", defaults=(None,))):
+class DivisionCheck(namedtuple("DivisionCheck", "status")):
     """Outcome of the division-algebra test: the norm form is anisotropic
-    (``division``) or isotropic (``split``); a split outcome carries an
-    explicit isotropic witness (an :class:`Octonion`) when the search found
-    one, else None."""
+    (``division``) or isotropic (``split``), by the signs of alpha, beta, gamma."""
 
     __slots__ = ()
 
@@ -76,7 +73,6 @@ class OctonionAlgebra:
         )
         self.zero = self.octonion([self._zero] * 8)
         self.one = self._basis[0]
-        self._division = None
 
     def scalar(self, value):
         return self.backend.coerce(value)
@@ -150,42 +146,13 @@ class OctonionAlgebra:
     def division_check(self):
         """Classify the algebra by (an)isotropy of its 8-variable norm form.
 
-        The status is ``division`` if all three parameters are negative (the
-        form is then positive definite) and ``split`` otherwise: an indefinite
-        form is isotropic over the reals and, in dimension 8 > 4, over every
-        p-adic field, hence over Q by Hasse-Minkowski.  A split status carries
-        an isotropic witness when a direct or equal-coordinate search finds one.
-        The result is cached per algebra.
+        The status is ``division`` if alpha, beta and gamma are all negative
+        (the form is then positive definite) and ``split`` otherwise: an
+        indefinite form is isotropic over the reals and, in dimension 8 > 4,
+        over every p-adic field, hence over Q by Hasse-Minkowski.
         """
-        if self._division is None:
-            self._division = self._run_division_check()
-        return self._division
-
-    def _run_division_check(self):
-        if self.alpha < 0 and self.beta < 0 and self.gamma < 0:
-            return DivisionCheck(DIVISION)
-        # Otherwise some q[k] < 0, so over the reals (float mode) a witness
-        # sqrt(-q[k]) + e_k is found on the first row and the subset search
-        # below is reached by exact mode only.
-        q = self.norm_coeffs
-        for a in range(8):
-            for b in range(a + 1, 8):
-                r = self.backend.sqrt(-q[b] / q[a])
-                if r is not None:
-                    coords = [self._zero] * 8
-                    coords[a] = r
-                    coords[b] = self._one
-                    return DivisionCheck(SPLIT, self.octonion(coords))
-        # pairs were tried above; a zero sum of q over a larger subset gives
-        # the witness with ones on that subset
-        for size in range(3, 9):
-            for subset in itertools.combinations(range(8), size):
-                if sum(q[k] for k in subset) == 0:
-                    coords = [
-                        self._one if k in subset else self._zero for k in range(8)
-                    ]
-                    return DivisionCheck(SPLIT, self.octonion(coords))
-        return DivisionCheck(SPLIT)
+        negative = self.alpha < 0 and self.beta < 0 and self.gamma < 0
+        return DivisionCheck(DIVISION if negative else SPLIT)
 
     def __repr__(self):
         return "OctonionAlgebra(alpha=%s, beta=%s, gamma=%s, mode=%r)" % (

@@ -20,7 +20,7 @@ from collections import namedtuple
 from .algebra import Octonion
 from .central import central_roots
 from .polynomials import StandardPolynomial, companion, linear_form, power_weights, reduce_to_linear
-from .solver import class_embeds, verify_root
+from .solver import verify_root
 
 
 class Side(enum.Enum):
@@ -142,14 +142,14 @@ def rev_class_point(phi, norm, trace, g: Octonion) -> Octonion:
 
 def rev_classes(phi: StandardPolynomial):
     """Class candidates of the companion polynomial that embed into the
-    algebra (``solver.class_embeds``): the right eigenvalue set is exactly
+    algebra (the backend's ``embeds``): the right eigenvalue set is exactly
     the union of these classes."""
     if not phi.is_monic():
         raise ValueError("rev_classes requires a monic polynomial")
     return [
         cand
         for cand in central_roots(companion(phi), tol=phi.algebra.tol).candidates
-        if cand.field_degree == 1 or class_embeds(phi.algebra, cand.norm, cand.trace)
+        if cand.field_degree == 1 or phi.algebra.backend.embeds(cand.trace, cand.norm)
     ]
 
 

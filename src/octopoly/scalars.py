@@ -344,8 +344,13 @@ class Exact(_Backend):
         return _reduced([n * m for n in nums], abs(total)) if total else None
 
     def embeds(self, trace, norm):
-        """Does some q_k, k >= 1, have the sign of norm - trace^2/4?  The sign
-        is read from 4 norm - trace^2 on numerators."""
+        """Does the field-degree-2 class z^2 = trace z - norm meet the algebra?
+
+        Its members are trace/2 + u with u pure of norm s = norm - trace^2/4.
+        The pure norm form <q_1..q_7> has dimension 7, so by Hasse-Minkowski
+        it represents s != 0 iff some q_k has the sign of s.  In a division
+        algebra every q_k is positive, and this is trace^2 < 4 norm.  The
+        sign is read from 4 norm - trace^2 on numerators."""
         s = 4 * norm.numerator * trace.denominator**2 - trace.numerator**2 * norm.denominator
         return any(s * q > 0 for q in self.qs[1:])
 
@@ -523,7 +528,7 @@ class Float(_Backend):
         return None if self.tol.is_zero(n, scale()) else self.divide(self.conj(v), self.coerce(n))
 
     def embeds(self, trace, norm):
-        """Does some q_k, k >= 1, have the sign of norm - trace^2/4?"""
+        """``Exact.embeds``: does some q_k, k >= 1, have the sign of s?"""
         s = norm - trace * trace / 4
         return any(s * q > 0 for q in self.qs[1:])
 

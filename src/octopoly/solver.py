@@ -69,18 +69,6 @@ def verify_root(phi: StandardPolynomial, lam: Octonion) -> bool:
     return value.is_zero(scale)
 
 
-def class_embeds(algebra: OctonionAlgebra, norm, trace) -> bool:
-    """Does the field-degree-2 class z^2 = trace z - norm meet the algebra?
-
-    Its members are trace/2 + u with u pure of norm s = norm - trace^2/4.
-    The pure norm form <q_1..q_7> has dimension 7, so by Hasse-Minkowski it
-    represents s != 0 iff some q_k has the sign of s.  In a division algebra
-    every q_k is positive, and this is trace^2 < 4 norm.  Exact mode decides
-    it on numerators.
-    """
-    return algebra.backend.embeds(trace, norm)
-
-
 def class_witness(algebra: OctonionAlgebra, norm, trace):
     """An element with the given invariants, or None if none was found.
 
@@ -111,7 +99,7 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
         r = algebra.backend.sqrt(s / q[k])
         if r is not None:
             return witness([(k, r)])
-    if not class_embeds(algebra, norm, trace):
+    if not algebra.backend.embeds(trace, norm):
         return None
     tried = set()  # binary forms (q_a, q_b) already searched in vain
     for a, b in itertools.combinations(range(1, 8), 2):
@@ -154,11 +142,12 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
     division algebra and are tested by direct substitution.  A class that
     the algebra's norm form cannot represent (trace^2 >= 4 norm in a
     division algebra) is not embeddable.  Otherwise the class reduces phi
-    to E z + G: E = G = 0 roots the whole class (witness
-    looked up and verified), E = 0 != G leaves an empty class (possible only
-    through float drift), and invertible E pins the unique representative
-    -E^-1 G, emitted only if substitution and the invariants check out.
-    One ``power_weights`` pass gives both E and G and their zero scales.
+    to E z + G: E = G = 0 roots the whole class (witness looked up and
+    verified), E = 0 != G leaves an empty class (possible only through float
+    drift), and invertible E pins the unique representative -E^-1 G, emitted
+    only if substitution and the invariants check out, else undetermined
+    (the class embeds, so it is never reported not embeddable).  One
+    ``power_weights`` pass gives both E and G and their zero scales.
     """
     alg = phi.algebra
     trace = alg.scalar(cand.trace)
@@ -168,7 +157,7 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
         if verify_root(phi, lam):
             return ClassResolution(SINGLE_ROOT, root=lam)
         return ClassResolution(NO_ROOT_IN_CLASS)
-    if not class_embeds(alg, norm, trace):
+    if not alg.backend.embeds(trace, norm):
         return ClassResolution(NOT_EMBEDDABLE)
     weights = power_weights(*alg.backend.clear_denominators(trace, norm), phi.degree)
     red = reduce_to_linear(phi, norm, trace, weights)
@@ -200,30 +189,29 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
         )
     if verify_root(phi, lam) and _invariants_match(lam, trace, norm):
         return ClassResolution(SINGLE_ROOT, root=lam)
-    return ClassResolution(NOT_EMBEDDABLE)
+    return ClassResolution(
+        UNDETERMINED, reason="root -E^-1 G failed verification (numeric drift)"
+    )
 
 
 def solve(phi: StandardPolynomial) -> RootReport:
     """Find all roots of a nonconstant polynomial over a division algebra.
 
-    Split algebras are rejected outright, so Phi of degree below 2n means
-    float64 lost Norm(c_n) > 0.  The companion polynomial's class candidates
+    Split algebras (some of alpha, beta, gamma positive) are rejected
+    outright, naming the positive parameters, so Phi of degree below 2n
+    means float64 lost Norm(c_n) > 0.  The companion polynomial's class candidates
     are resolved independently and in order; resolve_class emits a root or
     witness only after its one substitution check.
     """
     if phi.degree < 1:
         raise ValueError("solve needs a polynomial of degree >= 1")
     alg = phi.algebra
-    check = alg.division_check()
-    if check.status == SPLIT:
-        why = (
-            "its norm form is indefinite"
-            if check.witness is None
-            else "isotropic witness %r" % (check.witness,)
-        )
+    if alg.division_check().status == SPLIT:
+        params = zip(("alpha", "beta", "gamma"), (alg.alpha, alg.beta, alg.gamma))
+        positive = ", ".join("%s = %s > 0" % p for p in params if p[1] > 0)
         raise UnsupportedAlgebraError(
-            "the algebra is split (%s); roots are only classified over "
-            "division algebras" % why
+            "the algebra is split (%s, so its norm form is indefinite); roots "
+            "are only classified over division algebras" % positive
         )
     Phi = companion(phi)
     if Phi.degree < 2 * phi.degree:

@@ -266,24 +266,27 @@ def test_conjugator_requires_same_class(alg):
 
 
 def test_division_check():
-    assert OctonionAlgebra(-1, -1, -1).division_check().status == DIVISION
-    chk = OctonionAlgebra(-1, -1, 1).division_check()
-    assert chk.status == SPLIT
-    assert chk.witness.norm() == 0 and not chk.witness.is_exactly_zero()
-    A = OctonionAlgebra(-1, -1, 1)
-    assert chk.witness == A.one + A.basis_element(4)
+    assert OctonionAlgebra(-1, -1, -1).division_check() == (DIVISION,)
     assert OctonionAlgebra(-1, -7, -2).division_check().status == DIVISION
-    # indefinite over Q with no trivial square ratio: search finds a witness
-    chk2 = OctonionAlgebra(-1, -1, 2).division_check()
-    assert chk2.status == SPLIT
-    assert chk2.witness.norm() == 0
+    assert OctonionAlgebra(Fraction(-1, 3), -7, -2).division_check().status == DIVISION
+    # one positive parameter makes the norm form indefinite: 1 + l is
+    # isotropic in the first, 1 + i + l in the second
+    A = OctonionAlgebra(-1, -1, 1)
+    assert A.division_check() == (SPLIT,)
+    assert (A.one + A.basis_element(4)).norm() == 0
+    B = OctonionAlgebra(-1, -1, 2)
+    assert B.division_check().status == SPLIT
+    assert B.parse("1 + i + l").norm() == 0
+    for params in [(1, -1, -1), (-1, 3, -1), (2, 3, 5)]:
+        assert OctonionAlgebra(*params).division_check().status == SPLIT
 
 
 def test_division_check_float():
     assert OctonionAlgebra(-1, -1, -1, mode="float").division_check().status == DIVISION
-    chk = OctonionAlgebra(-1.0, -1.0, 2.0, mode="float").division_check()
-    assert chk.status == SPLIT
-    assert abs(chk.witness.norm()) < 1e-9
+    A = OctonionAlgebra(-1.0, -1.0, 2.0, mode="float")
+    assert A.division_check().status == SPLIT
+    w = A.octonion([2**0.5, 0, 0, 0, 1, 0, 0, 0])
+    assert abs(w.norm()) < 1e-9
 
 
 # -- identity suite (sampled here; full counts live in the acceptance tests) --

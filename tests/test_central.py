@@ -25,6 +25,7 @@ from octopoly import (
     solve,
 )
 from octopoly import central
+from octopoly.cli import main
 from octopoly.central import _horner
 from octopoly.scalars import over_common_denominator
 from conftest import rand_invertible, rand_octonion
@@ -651,6 +652,25 @@ def test_a_crossing_or_no_convergence_falls_back(monkeypatch):
     z, paired = central._aberth([5.0, 4.0, 3.0, 2.0, 1.0])
     assert not paired and len(z) == 4
     assert calls == [(True, False), (False, True)]
+
+
+def test_a_cluster_whose_mirror_differs_in_size_fails(monkeypatch, capsys):
+    # (z^2 - 2z + 2)(z^2 - 4z + 5) with 2 + i found twice and 1 - i lost:
+    # the double cluster at 2 + i has a single mirror, so numeric_roots
+    # raises, and the CLI exits 4
+    b = [10.0, -18.0, 15.0, -6.0, 1.0]
+    found = [2 + 1j, 2 + 1j, 1 + 1j, 2 - 1j]
+    monkeypatch.setattr(central, "_aberth", lambda coeffs: (found, False))
+    with pytest.raises(NumericFailureError, match="a root cluster and its mirror differ in size"):
+        numeric_roots(b)
+    # phi = (z - (1 + i))(z - (2 + i)) has Phi = |phi|^2 = the product above
+    A = OctonionAlgebra(-1, -1, -1, mode="float")
+    text = "z^2 - (3 + 2*i)*z + (1 + 3*i)"
+    assert list(companion(parse_polynomial(text, A)).coeffs) == b
+    argv = ["solve", "--mode", "float", "--poly", text]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "differ in size" in captured.err
 
 
 def test_numeric_roots_failure_carries_residuals():

@@ -273,15 +273,33 @@ def test_cli_exit_codes(capsys):
 
 def test_indefinite_algebra_is_split(capsys):
     # one positive parameter makes the norm form indefinite, hence split by
-    # Hasse-Minkowski, even when the witness search finds none:
-    # 10 + i + l is isotropic here but has unequal coordinates
+    # Hasse-Minkowski: 10 + i + l is isotropic here
     A = OctonionAlgebra(-1, -1, 101)
-    check = A.division_check()
-    assert check.status == SPLIT and check.witness is None
+    assert A.division_check().status == SPLIT
     assert A.parse("10 + i + l").norm() == 0
     assert main(["solve", "--gamma", "101", "--poly", "z + i"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "indefinite" in captured.err
+    assert captured.out == ""
+    assert "(gamma = 101 > 0, so its norm form is indefinite)" in captured.err
+    assert main(["solve", "--alpha", "2", "--gamma", "1/3", "--poly", "z + i"]) == 3
+    assert "(alpha = 2 > 0, gamma = 1/3 > 0, so" in capsys.readouterr().err
+
+
+def test_cli_reports_a_failed_float_root_as_undetermined(capsys):
+    poly = (
+        "z^5 + (-1 - i + j + k + l + 2*kl)*z^4 + (2*i + 2*j + k + 2*l - il - 2*jl + 2*kl)*z^3"
+        " + (2 + 2*i - 2*j + k - 2*l + il - jl + kl)*z^2 + (-j - 2*k + l - il + jl - kl)*z"
+        " + (2*j - k - 2*il - kl)"
+    )
+    argv = ["solve", "--mode", "float", "--alpha", "-7", "--beta", "-11", "--gamma", "-13"]
+    assert main(argv + ["--poly", poly]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    *found, last = doc["classes"]
+    assert [c["resolution"] for c in found] == ["single_root"] * 4
+    assert last["resolution"] == "undetermined" and float(last["norm"]) > 4118
+    assert last["reason"] == "root -E^-1 G failed verification (numeric drift)"
+    assert len(doc["warnings"]) == 1 and doc["warnings"][0] in captured.err
 
 
 def test_cli_float_double_roots_resolve(capsys):

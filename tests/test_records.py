@@ -20,10 +20,10 @@ from octopoly.solver import ClassResolution, RootReport
 RECORDS = [
     (
         DivisionCheck,
-        ("status", "witness"),
-        {"witness": None},
+        ("status",),
+        {},
         ("split",),
-        "DivisionCheck(status='split', witness=None)",
+        "DivisionCheck(status='split')",
     ),
     (
         ToleranceSpec,

@@ -7,9 +7,12 @@ import pytest
 
 from octopoly import (
     FULL_CLASS,
+    NO_ROOT_IN_CLASS,
     NOT_EMBEDDABLE,
     OctonionAlgebra,
     SINGLE_ROOT,
+    UNDETERMINED,
+    CentralRoots,
     StandardPolynomial,
     UnsupportedAlgebraError,
     ClassCandidate,
@@ -24,6 +27,7 @@ from octopoly import (
     solve,
     verify_root,
 )
+from octopoly import solver
 from octopoly.polynomials import power_weights, reduce_to_linear
 from conftest import rand_invertible, rand_octonion
 
@@ -103,7 +107,7 @@ def test_real_quadratic_classes_are_not_embeddable():
         assert rep.warnings == ()
 
 
-def test_resolve_class_examples(alg):
+def test_resolve_class_examples(alg, alg_float, monkeypatch):
     phi = parse_polynomial("i*z^2 + j*z + l", alg)
     res = resolve_class(phi, ClassCandidate(F(1), F(1), 2, 1))
     assert res.status == SINGLE_ROOT
@@ -114,6 +118,42 @@ def test_resolve_class_examples(alg):
     sq = parse_polynomial("z^2 + 1", alg)
     res = resolve_class(sq, ClassCandidate(F(0), F(1), 2, 2))
     assert res.status == FULL_CLASS and res.witness == alg.basis_element(1)
+    # candidates that are no classes of the companion polynomial reach the
+    # verdicts a genuine exact class never does
+    two = parse_polynomial("z^2 + 2", alg)
+    res = resolve_class(two, ClassCandidate(F(2), F(1), 1, 1))  # 1 is no root
+    assert res.status == NO_ROOT_IN_CLASS
+    res = resolve_class(two, ClassCandidate(F(0), F(1), 2, 1))  # E = 0, G = 1
+    assert res.status == NO_ROOT_IN_CLASS
+    tiny = parse_polynomial("0.000001*z + 1", alg_float)
+    res = resolve_class(tiny, ClassCandidate(0.0, 1.0, 2, 1))
+    assert res.status == UNDETERMINED
+    assert res.reason == "reduced E is numerically singular (numeric drift)"
+    # -E^-1 G = 5 is a root of z - 5, but not in the class z^2 = -1: an
+    # embeddable class whose root fails is undetermined, never not_embeddable
+    res = resolve_class(parse_polynomial("z - 5", alg), ClassCandidate(F(0), F(1), 2, 1))
+    assert res == (UNDETERMINED, None, None, "root -E^-1 G failed verification (numeric drift)")
+    full = ClassCandidate(F(0), F(1), 2, 2)
+    monkeypatch.setattr(solver, "class_witness", lambda *args: alg.one)  # no root
+    res = resolve_class(sq, full)
+    assert res.status == UNDETERMINED
+    assert res.reason == "class witness failed root verification (numeric drift)"
+    monkeypatch.setattr(solver, "class_witness", lambda *args: None)
+    res = resolve_class(sq, full)
+    assert res.status == UNDETERMINED
+    assert res.reason == "no class witness found at height 50"
+
+
+def test_solve_warns_of_an_empty_class(alg, monkeypatch):
+    cand = ClassCandidate(F(0), F(1), 2, 1)
+    monkeypatch.setattr(solver, "central_roots", lambda Phi, tol: CentralRoots((cand,)))
+    rep = solve(parse_polynomial("z^2 + 2", alg))
+    assert [r.status for _, r in rep.classes] == [NO_ROOT_IN_CLASS]
+    assert rep.roots == () and rep.full_classes == ()
+    assert rep.warnings == (
+        "class (trace=0, norm=1) resolved to an empty class; this cannot happen "
+        "for genuine companion classes and usually signals numeric drift",
+    )
 
 
 def test_class_witness(alg):
@@ -148,8 +188,6 @@ def test_each_emitted_root_is_verified_once(mode, monkeypatch):
     # resolve_class is the one place that verifies: every emitted root or
     # witness is the argument of exactly one verify_root call, which it
     # passed, and no other call is made
-    from octopoly import solver
-
     calls = []
 
     def counted(phi, lam):
