@@ -90,7 +90,7 @@ def outcome(phi, lam):
     except Exception as exc:  # noqa: BLE001 - any other exception is a finding
         print("error: %r on %s" % (exc, phi), file=sys.stderr)
         return "error"
-    if any((root - lam).max_abs() <= TOL for root in report.roots):
+    if any(max(abs(c) for c in (root - lam).coords) <= TOL for root in report.roots):
         return "ok"
     t, n = lam.invariants()
     if any(abs(t - ft) <= TOL and abs(n - fn) <= TOL for ft, fn, _ in report.full_classes):

@@ -271,8 +271,8 @@ class Octonion:
         return self.algebra.octonion((0,) + self.coords[1:])
 
     def inverse(self):
-        """conj(x) / Norm(x); SingularElementError when the norm is (numerically) 0."""
-        vec = self.algebra.backend.inverse(self.vec, lambda: self.max_abs() ** 2)
+        """conj(x) / Norm(x); SingularElementError when the norm is 0 (at scale nu(x)^2)."""
+        vec = self.algebra.backend.inverse(self.vec)
         if vec is None:
             raise SingularElementError("element has (numerically) zero norm")
         return Octonion(self.algebra, vec)
@@ -288,10 +288,10 @@ class Octonion:
     def is_central(self):
         return all(c == 0 for c in self.coords[1:])
 
-    def max_abs(self):
-        """Largest coordinate magnitude as a float; the standard scale for
-        zero-at-scale tests."""
-        return max(abs(float(c)) for c in self.coords)
+    def magnitude(self):
+        """nu(x) = sqrt(sum_k |q_k| x_k^2) as a float, the magnitude of every float zero
+        scale: sqrt(Norm(x)), and so multiplicative, in a division algebra."""
+        return self.algebra.backend.magnitude(self.vec)
 
 
 def bilinear_form(x, y):
@@ -301,19 +301,21 @@ def bilinear_form(x, y):
     return 2 * x.algebra.backend.inner(x.vec, y.vec)
 
 
+def has_invariants(x, trace, norm):
+    """Has x the trace and norm?  Exactly, on ints, in exact mode; in float mode
+    at the scales max(1, |trace|, nu(x)) and max(1, |norm|, nu(x)^2)."""
+    backend, mag = x.algebra.backend, x.magnitude
+    a, b, d = backend.cleared_invariants(x.vec)
+    ta, tb, td = backend.clear_denominators(trace, norm)
+    return backend.is_zero(
+        a * td - ta * d, lambda: max(1.0, abs(trace), mag())
+    ) and backend.is_zero(b * td * td - tb * d * d, lambda: max(1.0, abs(norm), mag() * mag()))
+
+
 def same_class(x, y):
-    """Conjugacy test: equal trace and equal norm (exact or at tolerance)."""
+    """Conjugacy test: x has the trace and norm of y (``has_invariants``)."""
     x.algebra.check_same(y.algebra)
-    tx, nx = x.invariants()
-    ty, ny = y.invariants()
-
-    def scale():
-        return max(1.0, x.max_abs(), y.max_abs())
-
-    backend = x.algebra.backend
-    return backend.is_zero(tx - ty, scale) and backend.is_zero(
-        nx - ny, lambda: scale() * scale()
-    )
+    return has_invariants(x, *y.invariants())
 
 
 def conjugator(g, h):
@@ -334,7 +336,7 @@ def conjugator(g, h):
     delta = g - h.conj()
 
     def scale():
-        return max(1.0, g.max_abs(), h.max_abs())
+        return max(1.0, g.magnitude(), h.magnitude())
 
     if not delta.is_zero(scale):
         return delta
@@ -346,6 +348,6 @@ def conjugator(g, h):
             return alg.basis_element(k)
     q, c = alg.norm_coeffs, g.coords
     delta = alg.octonion([0, q[2] * c[2], -q[1] * c[1], 0, 0, 0, 0, 0])
-    if alg.backend.is_zero(delta.norm(), lambda: delta.max_abs() ** 2):
+    if alg.backend.is_zero(delta.norm(), lambda: delta.magnitude() ** 2):
         raise ValueError("no conjugating element found")  # delta is isotropic
     return delta

@@ -173,8 +173,8 @@ def verify_eigen_pair(C: CompanionMatrix, lam: Octonion, vec, side) -> bool:
 
     @functools.cache  # read at the first zero-at-scale test (float mode)
     def magnitudes():
-        rows = [[x.max_abs() for x in row] for row in C.entries]
-        return rows, [v.max_abs() for v in vec], lam.max_abs()
+        rows = [[x.magnitude() for x in row] for row in C.entries]
+        return rows, [v.magnitude() for v in vec], lam.magnitude()
 
     for r in range(C.degree):
         acc = alg.zero

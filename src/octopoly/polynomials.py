@@ -8,18 +8,19 @@ z^2 = T z - N to a linear form E z + G, and produces both twist families.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import Octonion, OctonionAlgebra
-from .scalars import EXACT, over_common_denominator
+from .scalars import over_common_denominator
 
 
 class StandardPolynomial:
     """Coefficient list c_0..c_n over one algebra; the zero polynomial is
     rejected and trailing zero coefficients are stripped at construction.
-    ``magnitudes``: each c_i.max_abs() in float mode, None in exact mode."""
+    ``magnitudes``: each c_i.magnitude(), computed when float scales read it."""
 
     def __init__(self, algebra: OctonionAlgebra, coeffs):
         converted = []
@@ -35,7 +36,10 @@ class StandardPolynomial:
             raise ValueError("the zero polynomial is not a valid StandardPolynomial")
         self.algebra = algebra
         self.coeffs = tuple(converted)
-        self.magnitudes = None if algebra.mode == EXACT else tuple(c.max_abs() for c in converted)
+
+    @functools.cached_property
+    def magnitudes(self):
+        return tuple(c.magnitude() for c in self.coeffs)
 
     @property
     def degree(self):

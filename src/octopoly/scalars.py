@@ -3,9 +3,9 @@
 An algebra holds one backend, which owns every choice that depends on the
 scalars: coercion, the value of a literal's number token and the text
 form, zero tests, square roots, the nullspace routine, the algebra's norm
-form (``norm_form``) with the tests and maps read from it (inverse, class
-invariants, embedding of a class, the companion polynomial's coefficients),
-and the storage of octonion coordinate vectors with their arithmetic.
+form (``norm_form``) with what is read from it (inverse, class invariants,
+embedding of a class, the companion polynomial's coefficients, the magnitude
+nu), and the storage of octonion coordinate vectors with their arithmetic.
 Exact mode stores a vector as 8 ints over one positive denominator, kept
 canonical (gcd(den, n_0..n_7) = 1, zero over 1), so a product or sum costs
 one gcd; every decision is exact and made on numerators, and a
@@ -50,9 +50,9 @@ MODES = (EXACT, FLOAT)
 class ToleranceSpec(namedtuple("ToleranceSpec", "abs_eps rel_eps", defaults=(1e-10, 1e-9))):
     """Zero policy for the float backend.
 
-    A float ``x`` is "zero at scale s" iff ``|x| <= abs_eps + rel_eps * |s|``.
-    Both fields (floats, default 1e-10 and 1e-9) must be finite and
-    nonnegative.
+    A float ``x`` is "zero at scale s" iff ``|x| <= abs_eps + rel_eps * |s|``;
+    octonion tests build s from the norm nu (``Octonion.magnitude``).  Both
+    fields (floats, default 1e-10 and 1e-9) must be finite and nonnegative.
     """
 
     __slots__ = ()
@@ -165,6 +165,10 @@ class _Backend:
     def is_zero(self, x, scale=None):
         """Is ``x`` zero at the scale that ``scale()`` returns (default 1)?"""
         return self.all_zero((x,), scale)
+
+    def magnitude(self, v):
+        """nu(v) = sqrt(sum_k |q_k| v_k^2), a float that overflows only if nu(v) does."""
+        return math.hypot(*map(operator.mul, self._roots, self.coords(v)))
 
     def term(self, mag, symbol):
         """Text of a positive coefficient ``mag`` on a basis symbol."""
@@ -325,8 +329,9 @@ class Exact(_Backend):
 
     def norm_form(self, coeffs):
         """Hold the diagonal norm form sum_k coeffs[k] x_k^2 of the algebra,
-        as ints ``qs`` over one denominator ``qden``."""
+        as ints ``qs`` over one denominator ``qden``, and sqrt|q_k|."""
         self.qs, self.qden = over_common_denominator(coeffs)
+        self._roots = tuple(math.sqrt(abs(q)) for q in coeffs)
 
     def _pairing(self, xs, ys):
         """sum_k qs[k] xs[k] ys[k] on ints."""
@@ -336,7 +341,7 @@ class Exact(_Backend):
         """The polar form <u,v> = sum_k q_k u_k v_k of the norm form."""
         return Fraction(self._pairing(u[0], v[0]), self.qden * u[1] * v[1])
 
-    def inverse(self, v, scale=None):
+    def inverse(self, v):
         """conj(v) / Norm(v) on ints, or None when the norm is 0."""
         nums, den = self.conj(v)
         total = self._pairing(nums, nums)
@@ -511,8 +516,8 @@ class Float(_Backend):
         return v[0] + v[0]
 
     def norm_form(self, coeffs):
-        """Hold the diagonal norm form sum_k coeffs[k] x_k^2 of the algebra."""
-        self.qs = coeffs
+        """Hold the diagonal norm form sum_k coeffs[k] x_k^2 of the algebra, and sqrt|q_k|."""
+        self.qs, self._roots = coeffs, tuple(math.sqrt(abs(q)) for q in coeffs)
 
     def inner(self, u, v):
         """<u,v> = sum_k q_k u_k v_k, summed from 0.0 as (q*u_k)*v_k in k
@@ -522,10 +527,10 @@ class Float(_Backend):
             t += q * a * b
         return t
 
-    def inverse(self, v, scale):
-        """conj(v) / Norm(v), or None when the norm is zero at ``scale()``."""
-        n = self.inner(v, v)
-        return None if self.tol.is_zero(n, scale()) else self.divide(self.conj(v), self.coerce(n))
+    def inverse(self, v):
+        """conj(v) / Norm(v), or None when the norm is zero at scale nu(v)^2 >= |Norm(v)|."""
+        n, m = self.inner(v, v), self.magnitude(v)
+        return None if self.tol.is_zero(n, m * m) else self.divide(self.conj(v), self.coerce(n))
 
     def embeds(self, trace, norm):
         """``Exact.embeds``: does some q_k, k >= 1, have the sign of s?"""

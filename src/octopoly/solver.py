@@ -14,7 +14,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import SPLIT, Octonion, OctonionAlgebra
+from .algebra import SPLIT, Octonion, OctonionAlgebra, has_invariants
 from .central import ClassCandidate, central_roots
 from .errors import NumericFailureError, SingularElementError, UnsupportedAlgebraError
 from .polynomials import StandardPolynomial, companion, eval_at, power_weights, reduce_to_linear
@@ -58,12 +58,13 @@ class RootReport(
 
 
 def verify_root(phi: StandardPolynomial, lam: Octonion) -> bool:
-    """Substitute and test for zero: exactly in exact mode, zero-at-scale
-    with scale sum_i ||c_i|| * ||lam||^i (max-coordinate norms) in float."""
+    """Substitute and test for zero: exactly in exact mode, and in float mode
+    at scale sum_i nu(c_i) nu(lam)^i, which bounds the backward error of lam
+    since the norm nu is multiplicative (Higham 2002, ch. 5)."""
     value = eval_at(phi, lam)
 
     def scale():
-        lam_mag = lam.max_abs()
+        lam_mag = lam.magnitude()
         return sum(m * lam_mag**i for i, m in enumerate(phi.magnitudes))
 
     return value.is_zero(scale)
@@ -123,18 +124,6 @@ def class_witness(algebra: OctonionAlgebra, norm, trace):
     return None
 
 
-def _invariants_match(lam: Octonion, trace, norm):
-    """Has lam the trace and norm, each at the scale of the larger side?
-    Both sides are compared as (a, b, d), trace a/d and norm b/d^2: on ints
-    in exact mode, and with d = 1 in float mode."""
-    backend, mag = lam.algebra.backend, lam.max_abs
-    a, b, d = backend.cleared_invariants(lam.vec)
-    ta, tb, td = backend.clear_denominators(trace, norm)
-    return backend.is_zero(
-        a * td - ta * d, lambda: max(1.0, abs(trace), mag())
-    ) and backend.is_zero(b * td * td - tb * d * d, lambda: max(1.0, abs(norm), mag() * mag()))
-
-
 def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolution:
     """Resolve one companion-class candidate against phi.
 
@@ -147,7 +136,7 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
     drift), and invertible E pins the unique representative -E^-1 G, emitted
     only if substitution and the invariants check out, else undetermined
     (the class embeds, so it is never reported not embeddable).  One
-    ``power_weights`` pass gives both E and G and their zero scales.
+    ``power_weights`` pass gives E, G and their scales sum_i nu(c_i) |w_i|.
     """
     alg = phi.algebra
     trace = alg.scalar(cand.trace)
@@ -187,7 +176,7 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
         return ClassResolution(
             UNDETERMINED, reason="reduced E is numerically singular (numeric drift)"
         )
-    if verify_root(phi, lam) and _invariants_match(lam, trace, norm):
+    if verify_root(phi, lam) and has_invariants(lam, trace, norm):
         return ClassResolution(SINGLE_ROOT, root=lam)
     return ClassResolution(
         UNDETERMINED, reason="root -E^-1 G failed verification (numeric drift)"

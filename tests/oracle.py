@@ -49,6 +49,20 @@ def oct_norm(x, alpha, beta, gamma):
     return value[0]
 
 
+def max_abs(x):
+    """The largest coordinate magnitude of an Octonion, as a float: a
+    yardstick for measuring in tests, apart from the package's zero scales."""
+    return max(abs(float(c)) for c in x.coords)
+
+
+def nu(x):
+    """The algebra's norm nu(x) = sqrt(sum_k |q_k| x_k^2) of a float
+    Octonion, by the formula that ``Octonion.magnitude`` is specified by:
+    ``math.hypot`` of the coordinates weighted by sqrt|q_k|."""
+    q = x.algebra.norm_coeffs
+    return math.hypot(*(math.sqrt(abs(qk)) * xk for qk, xk in zip(q, x.coords)))
+
+
 def loop_product(table, xs, ys):
     """Float product by the interpreted loop over a structure table
     ``table[a][b] = (c, k)``: zero coordinates skipped, each coordinate

@@ -19,7 +19,7 @@ from octopoly import (
     same_class,
 )
 from conftest import rand_invertible, rand_octonion
-from oracle import loop_product, oct_mul as oracle_mul
+from oracle import loop_product, max_abs, oct_mul as oracle_mul
 
 
 RATIONAL_PARAMS = (Fraction(-1, 2), -3, Fraction(-5, 7))
@@ -166,6 +166,17 @@ def test_isotropic_inverse_rejected():
         x.inverse()
 
 
+def test_isotropic_float_inverse_rejected_at_scale_nu_squared():
+    # the norm form of (-1, -1, 1) is indefinite: 1 + l has norm 0, while
+    # nu(x)^2 = sum_k |q_k| x_k^2 = 2 bounds |N| and is the scale of the test
+    A = OctonionAlgebra(-1, -1, 1, mode="float")
+    x = A.one + A.basis_element(4)
+    assert x.norm() == 0 and x.magnitude() ** 2 == pytest.approx(2, rel=1e-15)
+    with pytest.raises(SingularElementError):
+        x.inverse()
+    assert (x + A.basis_element(1)).inverse() * (x + A.basis_element(1)) == A.one
+
+
 def test_same_class(alg):
     i, j = alg.basis_element(1), alg.basis_element(2)
     assert same_class(i, j)
@@ -209,7 +220,7 @@ def test_conjugator_random(alg, rng):
 
 def _conjugates_to(d, h, g):
     """Whether (d h) d^-1 == g: exactly, or at g's scale in float mode."""
-    return ((d * h) * d.inverse() - g).is_zero(lambda: max(1.0, g.max_abs()))
+    return ((d * h) * d.inverse() - g).is_zero(lambda: max(1.0, max_abs(g)))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -285,7 +285,11 @@ def test_indefinite_algebra_is_split(capsys):
     assert "(alpha = 2 > 0, gamma = 1/3 > 0, so" in capsys.readouterr().err
 
 
-def test_cli_reports_a_failed_float_root_as_undetermined(capsys):
+def test_cli_keeps_every_root_of_a_float_query_with_large_structure_constants(capsys):
+    # over (-7,-11,-13) the structure constants reach |alpha beta gamma| =
+    # 1001, and the fifth class has norm 4118.8; its root passes the
+    # verification scale sum_i nu(c_i) nu(lam)^i, so all five classes are
+    # single roots and no warning is given
     poly = (
         "z^5 + (-1 - i + j + k + l + 2*kl)*z^4 + (2*i + 2*j + k + 2*l - il - 2*jl + 2*kl)*z^3"
         " + (2 + 2*i - 2*j + k - 2*l + il - jl + kl)*z^2 + (-j - 2*k + l - il + jl - kl)*z"
@@ -295,11 +299,9 @@ def test_cli_reports_a_failed_float_root_as_undetermined(capsys):
     assert main(argv + ["--poly", poly]) == 0
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
-    *found, last = doc["classes"]
-    assert [c["resolution"] for c in found] == ["single_root"] * 4
-    assert last["resolution"] == "undetermined" and float(last["norm"]) > 4118
-    assert last["reason"] == "root -E^-1 G failed verification (numeric drift)"
-    assert len(doc["warnings"]) == 1 and doc["warnings"][0] in captured.err
+    assert [c["resolution"] for c in doc["classes"]] == ["single_root"] * 5
+    assert float(doc["classes"][-1]["norm"]) > 4118
+    assert doc["warnings"] == [] and captured.err == ""
 
 
 def test_cli_float_double_roots_resolve(capsys):

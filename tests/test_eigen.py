@@ -28,6 +28,7 @@ from octopoly import (
 from octopoly.algebra import Octonion
 from octopoly.polynomials import eg_sequence
 from conftest import rand_invertible, rand_octonion
+from oracle import max_abs, nu
 
 F = Fraction
 
@@ -283,12 +284,32 @@ def _check_member(phi, lam, side):
 
     def scale():
         return sum(
-            c.max_abs() * lam.max_abs() ** i * gamma.max_abs()
+            max_abs(c) * max_abs(lam) ** i * max_abs(gamma)
             for i, c in enumerate(phi.coeffs)
         )
 
     residual = _defining_residual(phi, lam, gamma, side)
     assert phi.algebra.backend.all_zero(residual.coords, scale)
+
+
+def test_float_eigen_pairs_over_a_split_algebra():
+    # the norm form of (-1, -1, 1) is indefinite, yet nu(x)^2 =
+    # sum_k |q_k| x_k^2 bounds |N(x)|, so the scales of verify_eigen_pair
+    # hold there too: the eigenvectors at a planted root verify on both
+    # sides, and the same vectors fail for lam moved by 1e-6 nu(lam)
+    A = OctonionAlgebra(-1, -1, 1, mode="float")
+    rng = random.Random(25)
+    for degree in (2, 3, 5, 8):
+        lam = rand_octonion(rng, A, -1, 1)
+        tail = [rand_octonion(rng, A, -1, 1) for _ in range(degree - 1)] + [A.one]
+        c0 = sum((c * lam ** (i + 1) for i, c in enumerate(tail)), A.zero)
+        phi = StandardPolynomial(A, [-c0] + tail)
+        C = companion_matrix(phi)
+        moved = lam + A.basis_element(1) * (1e-6 * lam.magnitude())
+        for side, test in ((Side.LEFT, lev_test), (Side.RIGHT, rev_test)):
+            rep = test(phi, lam)
+            assert rep.member and verify_eigen_pair(C, lam, rep.eigenvector, side)
+            assert not verify_eigen_pair(C, moved, rep.eigenvector, side)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -315,7 +336,7 @@ def test_planted_memberships_generic_algebra(mode):
         other = rand_octonion(rng, alg, -1, 1)
 
         def scale():
-            return sum(abs(b) * other.max_abs() ** k for k, b in enumerate(Phi.coeffs))
+            return sum(abs(b) * max_abs(other) ** k for k, b in enumerate(Phi.coeffs))
 
         assert not alg.backend.all_zero(Phi(other).coords, scale)
         assert not rev_test(phi, other).member
@@ -382,9 +403,9 @@ def test_operator_columns_are_the_products(mode, params, rng):
 
 
 def test_verify_eigen_pair_reads_each_magnitude_once(monkeypatch):
-    # one max_abs() per matrix entry, vector entry and lam per check, at
-    # the first row's zero test; the row scales are the former per-row
-    # sums bit for bit
+    # one magnitude() per matrix entry, vector entry and lam per check, at
+    # the first row's zero test; row r's scale is
+    # sum_c nu(C[r, c]) nu(v_c) + nu(lam) nu(v_r), bit for bit
     A = OctonionAlgebra(-1, -1, -1, mode="float")
     rng = random.Random(19)
     lam = rand_octonion(rng, A, -2, 2)
@@ -394,7 +415,7 @@ def test_verify_eigen_pair_reads_each_magnitude_once(monkeypatch):
     rep = rev_test(phi, lam)
     C, vec = companion_matrix(phi), rep.eigenvector
     scales, calls = [], []
-    backend, max_abs = type(A.backend), Octonion.max_abs
+    backend, magnitude = type(A.backend), Octonion.magnitude
 
     def spy(self, v, scale=None):
         scales.append(scale())
@@ -402,15 +423,13 @@ def test_verify_eigen_pair_reads_each_magnitude_once(monkeypatch):
 
     def counted(x):
         calls.append(x)
-        return max_abs(x)
+        return magnitude(x)
 
     monkeypatch.setattr(backend, "vector_is_zero", spy)
-    monkeypatch.setattr(Octonion, "max_abs", counted)
+    monkeypatch.setattr(Octonion, "magnitude", counted)
     assert verify_eigen_pair(C, lam, vec, Side.RIGHT)
     assert len(calls) == C.degree**2 + C.degree + 1
     monkeypatch.undo()
     for r, scale in enumerate(scales):
-        want = sum(
-            C.entries[r][c].max_abs() * vec[c].max_abs() for c in range(C.degree)
-        ) + lam.max_abs() * vec[r].max_abs()
+        want = sum(nu(C.entries[r][c]) * nu(vec[c]) for c in range(C.degree)) + nu(lam) * nu(vec[r])
         assert scale.hex() == want.hex()

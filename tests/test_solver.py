@@ -1,5 +1,6 @@
 """The end-to-end solver: class resolution, witnesses, verification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,8 +29,10 @@ from octopoly import (
     verify_root,
 )
 from octopoly import solver
+from octopoly.algebra import Octonion
 from octopoly.polynomials import power_weights, reduce_to_linear
 from conftest import rand_invertible, rand_octonion
+from oracle import nu
 
 F = Fraction
 
@@ -247,6 +250,30 @@ def test_planted_roots_float(alg_float, rng):
         assert best < 1e-8
 
 
+def test_moved_roots_are_rejected():
+    # monic phi of degree 6 with integer coordinates in [-2, 2], over five
+    # algebras whose structure constants reach 10^5: float solve finds all
+    # 6 roots of each, and each root moved by 1e-6 nu(lam) in a random
+    # direction fails verify_root, so the scale sum_i nu(c_i) nu(lam)^i
+    # keeps every root and accepts no wrong one
+    moved_roots = 0
+    for params in [(-1, -1, -1), (-2, -3, -5), (-7, -11, -13), (-1, -100, -1000),
+                   (F(-1, 2), -3, F(-5, 7))]:
+        A = OctonionAlgebra(*params, mode="float")
+        rng = random.Random("moved %s" % (params,))
+        for _ in range(34):
+            coeffs = [A.octonion([rng.randint(-2, 2) for _ in range(8)]) for _ in range(6)]
+            phi = StandardPolynomial(A, coeffs + [A.one])
+            roots = solve(phi).roots
+            assert len(roots) == 6, (params, phi)
+            for lam in roots:
+                d = A.octonion([rng.gauss(0, 1) for _ in range(8)])
+                moved = lam + d * (1e-6 * lam.magnitude() / d.magnitude())
+                assert not verify_root(phi, moved), (params, phi, lam)
+                moved_roots += 1
+    assert moved_roots >= 1000
+
+
 @pytest.mark.parametrize("params", [(-1, -1, -1), (-2, -3, -5)])
 def test_planted_roots_float_grid(params):
     # degree 4-16 with coordinates in [-1, 1] and [-2, 2], five seeds each:
@@ -332,24 +359,37 @@ def _record_scales(monkeypatch, algebra):
 
 
 def test_zero_scales_read_the_stored_magnitudes(alg, monkeypatch):
-    # a float phi keeps each coefficient's max_abs() from construction (an
-    # exact phi none), and the scales of verify_root and of E in
-    # resolve_class sum them in the former order, bit for bit
-    assert parse_polynomial("z^2 + i", alg).magnitudes is None
+    # the scales of verify_root and of E in resolve_class are built from
+    # the algebra's norm nu, bit for bit: sum_i nu(c_i) nu(lam)^i and
+    # sum_i nu(c_i) |e_i|.  A float phi reads each nu(c_i) once, however
+    # many classes it resolves; an exact solve reads no magnitude at all
+    calls, magnitude = [], Octonion.magnitude
+
+    def counted(x):
+        calls.append(x)
+        return magnitude(x)
+
+    monkeypatch.setattr(Octonion, "magnitude", counted)
+    exact, _ = _plant(random.Random(19), alg, 4)
+    assert solve(exact).roots and calls == [] and "magnitudes" not in vars(exact)
     A = OctonionAlgebra(-2, -3, -5, mode="float")
     seen = _record_scales(monkeypatch, A)
     rng = random.Random(19)
     for degree in (2, 4, 7):
         phi, lam = _plant(rng, A, degree)
-        assert phi.magnitudes == tuple(c.max_abs() for c in phi.coeffs)
+        nus = [nu(c) for c in phi.coeffs]
+        assert all(math.isclose(m * m, c.norm(), rel_tol=1e-14) for m, c in zip(nus, phi.coeffs))
+        calls.clear()
         seen.clear()
         assert verify_root(phi, lam)
-        want = sum(c.max_abs() * lam.max_abs() ** i for i, c in enumerate(phi.coeffs))
+        want = sum(m * nu(lam) ** i for i, m in enumerate(nus))
         assert [x.hex() for x in seen.values()] == [want.hex()]
         for cand in central_roots(companion(phi), A.tol).candidates:
             weights = power_weights(cand.trace, cand.norm, 1, phi.degree)
             E = reduce_to_linear(phi, cand.norm, cand.trace, weights).E
             seen.clear()
             resolve_class(phi, cand)
-            want = sum(c.max_abs() * abs(w) for c, w in zip(phi.coeffs, weights[0]))
+            want = sum(m * abs(w) for m, w in zip(nus, weights[0]))
             assert cand.field_degree == 1 or seen[E.vec].hex() == want.hex()
+        assert [m.hex() for m in phi.magnitudes] == [m.hex() for m in nus]
+        assert sum(any(x is c for c in phi.coeffs) for x in calls) == len(phi.coeffs)
