@@ -18,6 +18,13 @@ a user.  A solve violates the contract when
 
 Every violation is printed with its command line.
 
+A second, separately printed count runs the overflow family
+z^n + c(1+i) z^(n-1) + 1 over (-1,-1,-1) in float mode, for n = 8, 12, 16
+and every 4th of the 400 values c = 10^(300/2n - 0.5 + 0.0025 k): 300
+solves whose roots fit float64 while the root finder's start leaves it.
+There an exception or an exit other than 0 and 4 is a violation; the exit 4s
+and the solves that keep all n roots are counted and printed, not gated.
+
 Run:  PYTHONPATH=src python3 scripts/contract_sweep.py
 The exit status is 1 when any violation is found.
 """
@@ -58,23 +65,29 @@ def polynomial_text(A, draw, degree, monic, rng):
 
 
 def check(argv, mode, degree):
-    """(violation or None, exited 4) for one ``octopoly`` query."""
+    """(violation or None, exit code or None when it raised) for one
+    ``octopoly`` query."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     except Exception as exc:  # noqa: BLE001 - any exception is a finding
-        return "raised %r" % (exc,), False
+        return "raised %r" % (exc,), None
     if code != 0:
-        return "exit %d: %s" % (code, err.getvalue().strip()), code == EXIT_NUMERIC
+        return "exit %d: %s" % (code, err.getvalue().strip()), code
     statuses = [c["resolution"] for c in json.loads(out.getvalue())["classes"]]
     bad = sorted(set(statuses) - {"single_root", "full_class"})
     if bad:
-        return "classes ended %s" % ", ".join(bad), False
+        return "classes ended %s" % ", ".join(bad), code
     roots = statuses.count("single_root")
     if mode == "float" and roots != degree:
-        return "%d single roots for degree %d" % (roots, degree), False
-    return None, False
+        return "%d single roots for degree %d" % (roots, degree), code
+    return None, code
+
+
+def report(problem, argv):
+    print("violation: %s\n  octopoly %s" % (problem, " ".join(
+        "'%s'" % a if " " in a else a for a in argv)))
 
 
 def main_sweep():
@@ -90,17 +103,36 @@ def main_sweep():
                         poly = polynomial_text(A, draw, degree, monic, rng)
                         argv = ["solve", "--mode", mode, "--alpha", params[0],
                                 "--beta", params[1], "--gamma", params[2], "--poly", poly]
-                        problem, numeric = check(argv, mode, degree)
+                        problem, code = check(argv, mode, degree)
                         solves += 1
-                        exit4 += numeric
+                        exit4 += code == EXIT_NUMERIC
                         if problem:
                             violations += 1
-                            print("violation: %s\n  octopoly %s" % (problem, " ".join(
-                                "'%s'" % a if " " in a else a for a in argv)))
+                            report(problem, argv)
     print("contract sweep: %d solves, %d violations (%d exit 4) in %.1f s"
           % (solves, violations, exit4, time.monotonic() - start))
-    return 1 if violations else 0
+    return violations
+
+
+def overflow_family():
+    start = time.monotonic()
+    solves = violations = exit4 = answered = 0
+    for n in (8, 12, 16):
+        for k in range(0, 400, 4):
+            c = repr(10 ** (300 / (2 * n) - 0.5 + 0.0025 * k))
+            poly = "z^%d + (%s + %s*i)*z^%d + 1" % (n, c, c, n - 1)
+            argv = ["solve", "--mode", "float", "--poly", poly]
+            problem, code = check(argv, "float", n)
+            solves += 1
+            exit4 += code == EXIT_NUMERIC
+            answered += problem is None
+            if code not in (0, EXIT_NUMERIC):
+                violations += 1
+                report(problem, argv)
+    print("overflow family: %d solves, %d violations (%d exit 4 and %d with all roots, "
+          "not gated) in %.1f s" % (solves, violations, exit4, answered, time.monotonic() - start))
+    return violations
 
 
 if __name__ == "__main__":
-    sys.exit(main_sweep())
+    sys.exit(1 if main_sweep() + overflow_family() else 0)

@@ -3,14 +3,7 @@
 Each closure root that generates an extension of degree <= 2 is collapsed to
 its (trace, norm) pair -- a conjugacy-class candidate.  Exact mode finds
 every rational factor of degree <= 2 by a complete modular search on
-integer polynomials.  A prime p that keeps the integer form square-free
-mod p proves it square-free, so the primitive remainder sequence runs only
-when the first few primes fail (a repeated factor, as for a full class).
-Over F_p the linear factors come from the residues where the polynomial
-vanishes and the quadratics from the root-free rest; every arithmetic step
-there divides by a monic polynomial.  The local factors are lifted by
-p-adic Newton (Bairstow) steps, and each candidate is confirmed by integer
-trial division that stops at the first leading term that does not divide.
+integer polynomials, whose arithmetic over Z and Z/m is in ``intpoly``.
 Float mode finds all complex roots by Aberth-Ehrlich iteration, as conjugate
 pairs first since Phi(x) = N(phi(x)) >= 0 for real x, and clusters them by
 their inclusion discs.
@@ -25,6 +18,8 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .errors import NumericFailureError
+from .intpoly import (_local_factors, _mul, _newton_lift, _primitive, _primitive_gcd,
+                      _quotient, _square_free_mod_p, _trim)
 from .polynomials import CentralPolynomial
 from .scalars import ToleranceSpec
 
@@ -59,99 +54,6 @@ class CentralRoots(
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Z/m: int lists c_0..c_n without trailing zeros ([] is 0)
-# ---------------------------------------------------------------------------
-
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _add(a, b, m, k=1):
-    """a + k b mod m."""
-    pairs = itertools.zip_longest(a, b, fillvalue=0)
-    return _trim([(x + k * y) % m for x, y in pairs])
-
-
-def _mul(a, b, m):
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim([x % m for x in out])
-
-
-def _monic(a, m):
-    """a != 0 times the inverse of its leading coefficient mod m."""
-    inv = pow(a[-1], -1, m)
-    return [x * inv % m for x in a]
-
-
-def _divmod(a, b, m):
-    """(quotient, remainder) of a by the monic b mod m."""
-    n = len(b) - 1
-    r = list(a)
-    q = [0] * max(len(a) - n, 0)
-    for k in reversed(range(len(q))):
-        q[k] = c = r[k + n] % m
-        for j in range(n):  # r[k + n] is not read again
-            r[k + j] -= c * b[j]
-    return _trim(q), _trim([x % m for x in r[:n]])
-
-
-def _rem(a, b, m):
-    """The remainder of a by the monic b mod m; no quotient is kept."""
-    n = len(b) - 1
-    r = list(a)
-    for k in reversed(range(len(r) - n)):
-        c = r[k + n] % m
-        if c:
-            for j in range(n):
-                r[k + j] -= c * b[j]
-    return _trim([x % m for x in r[:n]])
-
-
-def _monic_gcd(a, b, p):
-    """The monic gcd of a monic a and b over F_p."""
-    while b:
-        b = _monic(b, p)
-        a, b = b, _rem(a, b, p)
-    return a
-
-
-def _powmod(a, e, f, p):
-    """a^e mod the monic f over F_p, for e >= 1 and deg a < deg f, by
-    left-to-right binary powering."""
-    out = a
-    for bit in bin(e)[3:]:
-        out = _rem(_mul(out, out, p), f, p)
-        if bit == "1":
-            out = _rem(_mul(out, a, p), f, p)
-    return out
-
-
-def _square_free_mod_p(a, tries=None):
-    """(p, a mod p made monic) for the smallest odd prime p that does not
-    divide lc(a) and keeps a mod p square-free, or None when the first
-    ``tries`` odd primes that do not divide lc(a) all fail.  A square-free
-    a mod p proves a square-free over Q: a repeated factor over Q stays
-    repeated mod every p that keeps the degree."""
-    lead, p = a[-1], 1
-    while tries != 0:
-        p += 2
-        if lead % p == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
-            continue
-        f = _monic(a, p)
-        if len(_monic_gcd(f, _trim([k * c % p for k, c in enumerate(f)][1:]), p)) == 1:
-            return p, f
-        if tries is not None:
-            tries -= 1
-    return None
-
-
-# ---------------------------------------------------------------------------
 # exact factors of degree <= 2
 # ---------------------------------------------------------------------------
 
@@ -168,131 +70,6 @@ class ExactFactorization(
     counter reads it."""
 
     __slots__ = ()
-
-
-def _split_quadratics(g, p):
-    """The monic irreducible factors of g, a product of distinct monic
-    irreducible quadratics over F_p, p odd: Cantor-Zassenhaus by the gcds of
-    g with (z + s)^((p^2 - 1)/2) - 1 for s = 0, 1, ..., p - 1.  Mod an
-    irreducible quadratic f that power is the Legendre symbol of f(-s), the
-    norm of z + s, so f_1 and f_2 part at each s with f_1(-s) f_2(-s) a
-    non-square.  Some s < p is one: for p >= 11 by Weil's bound 3 sqrt(p) < p
-    on the character sum of the root-free quartic f_1 f_2, and for p <= 23
-    by a check of every pair."""
-    parts, e = [g], (p * p - 1) // 2
-    for s in range(p):
-        b = _add(_powmod([s, 1], e, g, p), [1], p, -1)
-        split = []
-        for u in parts:
-            v = _monic_gcd(u, b, p)
-            split += [v, _divmod(u, v, p)[0]] if 1 < len(v) < len(u) else [u]
-        parts = split
-        if 2 * len(parts) == len(g) - 1:
-            return parts
-    raise ArithmeticError("no shift z + s splits the quadratic factors mod %d" % p)
-
-
-def _local_factors(f, p):
-    """The monic irreducible factors of degree 1 and 2 of a monic
-    square-free f over F_p.  The linears are z - r for the residues r with
-    f(r) = 0.  The quadratics divide the root-free rest g: g itself when
-    deg g = 2, none when deg g = 3, and otherwise the factors of
-    gcd(g, z^(p^2) - z), split by ``_split_quadratics``."""
-    values = [0] * p  # f at every residue, by Horner's rule on them all
-    for c in reversed(f):
-        values = [(v * r + c) % p for r, v in enumerate(values)]
-    linears, g = [], f
-    for r, value in enumerate(values):
-        if value == 0:
-            u = [-r % p, 1]
-            linears.append(u)
-            g = _divmod(g, u, p)[0]
-    if len(g) > 4:
-        z = [0, 1]
-        g = _monic_gcd(g, _add(_powmod(z, p * p, g, p), z, p, -1), p)
-        return linears + (_split_quadratics(g, p) if len(g) > 1 else [])
-    return linears + ([g] if len(g) == 3 else [])
-
-
-def _newton_lift(S, u, p, m):
-    """The monic factor h of S mod m = p^(2^j) with h = u mod p, for an
-    integer polynomial S that is square-free mod p with lc(S) a unit, and a
-    monic factor u of degree 1 or 2 of S mod p.
-
-    p-adic Newton (Bairstow) iteration on h's own coefficients, each step
-    doubling the modulus.  For h = z^2 + a z + b, with S = h q + r_1 z + r_0
-    and q = h q_2 + s_1 z + s_0, the Jacobian of (r_1, r_0) in (a, b) is
-    [[a s_1 - s_0, -s_1], [b s_1, -s_0]], whose determinant is the
-    resultant of h and q, a unit because S is square-free mod p.  For
-    h = z + b the remainders give r_1 = s_1 = 0, so the same step keeps
-    h's leading 1 and takes b to b + r_0 / s_0: Newton's r - S(r) / S'(r)
-    at the root r = -b (von zur Gathen & Gerhard, Modern Computer Algebra,
-    sec. 15)."""
-    h, mod = u, p
-    while mod < m:
-        mod *= mod
-        b, a = h[0], h[1]
-        q, rem = _divmod(S, h, mod)
-        r0, r1 = rem + [0] * (2 - len(rem))
-        rem = _rem(q, h, mod)
-        s0, s1 = rem + [0] * (2 - len(rem))
-        inv = pow(s0 * s0 - a * s0 * s1 + b * s1 * s1, -1, mod)
-        da = (s1 * r0 - s0 * r1) * inv
-        db = ((a * s1 - s0) * r0 - b * s1 * r1) * inv
-        h = [(b - db) % mod, (a - da) % mod] + h[2:]
-    return h
-
-
-# ---------------------------------------------------------------------------
-# polynomials over Z: int lists c_0..c_n, nonzero
-# ---------------------------------------------------------------------------
-
-
-def _primitive(a):
-    """a divided by its content, with a positive leading coefficient."""
-    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
-    return [c // g for c in a]
-
-
-def _pseudo_remainder(a, b):
-    """A remainder of lc(b)^k a by b over Z, for some k >= 0."""
-    r, lb, n = list(a), b[-1], len(b) - 1
-    while len(r) > n:
-        c = r.pop()
-        k = len(r) - n
-        r = [lb * x for x in r]
-        for j in range(n):
-            r[k + j] -= c * b[j]
-        _trim(r)
-    return r
-
-
-def _primitive_gcd(a, b):
-    """The primitive gcd with positive leading coefficient of two nonzero
-    integer polynomials, by the primitive remainder sequence."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        r = _pseudo_remainder(a, b)
-        a, b = b, _primitive(r) if r else r
-    return a
-
-
-def _quotient(a, b):
-    """a / b if b divides a over Z, else None.  The division stops at the
-    first quotient coefficient that is not an integer: for a primitive b
-    that already proves b does not divide a over Q (Gauss's lemma)."""
-    n, lb = len(b) - 1, b[-1]
-    r = list(a)
-    q = [0] * max(len(a) - n, 0)
-    for k in reversed(range(len(q))):
-        c, rest = divmod(r[k + n], lb)
-        if rest:
-            return None
-        q[k] = c
-        if c:
-            for j in range(n):
-                r[k + j] -= c * b[j]
-    return None if any(r[:n]) else q
 
 
 def exact_quadratic_factors(Phi: CentralPolynomial):
@@ -328,8 +105,7 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
         S = _quotient(R, _primitive_gcd(R, [k * c for k, c in enumerate(R)][1:]))
         found = _square_free_mod_p(S)
     p, f = found
-    lead = S[-1]
-    m = p
+    lead, m = S[-1], p
     while m <= 4 * (math.isqrt(sum(c * c for c in S)) + 1):
         m *= m
     local = [_newton_lift(S, u, p, m) for u in _local_factors(f, p)]
@@ -435,10 +211,11 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     Exactly zero low coefficients give the root 0; Aberth iteration finds
     the others, as conjugate pairs when it can (``_aberth``).  A residual
     above abs_eps + rel_eps * sum_k |b_k| |r|^k raises NumericFailureError
-    with the residuals.  Each approximation z_i then gets the inclusion
-    radius r_i = n (|p(z_i)| + e_i) / |b_n prod_{j != i} (z_i - z_j)|, e_i
-    the rounding bound.  Horner's values at conj(z) are those at z
-    conjugated, so a pair's certificate and radius serve both members.  A
+    with the residuals, and a |p(z)| beyond float64 raises it without them.
+    Each approximation z_i then gets the inclusion radius
+    r_i = n (|p(z_i)| + e_i) / |b_n prod_{j != i} (z_i - z_j)|, e_i the
+    rounding bound.  Horner's values at conj(z) are those at z conjugated,
+    so a pair's certificate and radius serve both members.  A
     connected component of k overlapping discs holds exactly k roots (Bini
     1996; Bini & Robol 2014): it is one cluster, and its centre, the mean
     refined by Newton steps on the (k-1)-th derivative (three, or fewer when
@@ -454,9 +231,12 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     zeros = next(k for k, c in enumerate(b) if c != 0)
     b = b[zeros:]
     n = len(b) - 1
-    z, paired = _aberth(b) if n else ([], False)
-    values = [_horner(b, r) for r in z]  # above the axis only, when paired
-    residuals = [abs(p) for p, _, _ in values] * (1 + paired)
+    try:  # abs() of a complex with finite parts may overflow
+        z, paired = _aberth(b) if n else ([], False)
+        values = [_horner(b, r) for r in z]  # above the axis only, when paired
+        residuals = [abs(p) for p, _, _ in values] * (1 + paired)
+    except OverflowError:
+        raise NumericFailureError("float64 overflow: |p(z)| at a root approximation z") from None
     z += [r.conjugate() for r in z] if paired else []
     radii = []
     for i, (_, _, scale) in enumerate(values):
@@ -520,15 +300,21 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
 def float_candidates(Phi, tol):
     """Class candidates of a float polynomial, one per root cluster of
     numeric_roots: a real cluster gives field degree 1, a cluster above the
-    axis field degree 2, and the cluster size is the multiplicity."""
+    axis field degree 2, and the cluster size is the multiplicity; sorted by
+    (norm, -trace) as in exact mode, norms that agree under ``tol`` as equal."""
     cands = []
     for (re, im), k in Counter(numeric_roots(Phi.coeffs, tol)).items():
         if im == 0:
             cands.append(ClassCandidate(2.0 * re, re * re, 1, k))
         elif im > 0:
             cands.append(ClassCandidate(2.0 * re, re * re + im * im, 2, k))
-    cands.sort(key=lambda c: (c.norm, -c.trace))
-    return cands
+    out = []  # by norm, then insertion by -trace among the equal norms
+    for c in sorted(cands, key=lambda c: c.norm):
+        k = len(out)
+        while k and out[k - 1].trace < c.trace and tol.is_zero(c.norm - out[k - 1].norm, c.norm):
+            k -= 1
+        out.insert(k, c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +362,7 @@ def central_roots(Phi: CentralPolynomial, tol=None):
         raise ValueError("central_roots needs a nonconstant polynomial")
     if Phi.ints is not None:
         return exact_candidates(Phi)
-    cands = tuple(float_candidates(Phi, tol))
+    cands = tuple(float_candidates(Phi, tol or ToleranceSpec()))
     for c in cands:
         if not (math.isfinite(c.trace) and math.isfinite(c.norm)):
             raise NumericFailureError(

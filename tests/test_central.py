@@ -263,7 +263,7 @@ def _count_calls(monkeypatch, module, name):
 def test_square_free_companions_skip_the_remainder_sequence(monkeypatch):
     # R mod p square-free for a small good prime proves R square-free, so
     # the primitive remainder sequence never runs on a square-free Phi
-    from octopoly import central
+    from octopoly import central, intpoly
 
     rng = random.Random(20261020)
     algebras = [OctonionAlgebra(-1, -1, -1), OctonionAlgebra(-2, -3, -5)]
@@ -276,8 +276,8 @@ def test_square_free_companions_skip_the_remainder_sequence(monkeypatch):
         companions.append(companion(phi))
     square_free = []
     for Phi in companions:  # gcd(R, R') by the sequence itself, before counting
-        R = central._primitive(over_common_denominator(Phi.coeffs)[0])
-        if len(central._primitive_gcd(R, [k * c for k, c in enumerate(R)][1:])) == 1:
+        R = intpoly._primitive(over_common_denominator(Phi.coeffs)[0])
+        if len(intpoly._primitive_gcd(R, [k * c for k, c in enumerate(R)][1:])) == 1:
             square_free.append(Phi)
     assert len(square_free) >= 30
     calls = _count_calls(monkeypatch, central, "_primitive_gcd")
@@ -346,7 +346,7 @@ def test_split_quadratics_separates_every_pair(p):
     # the shifts z + s, s < p, separate every pair of distinct irreducible
     # quadratics: Weil's bound proves it for p >= 11, and this checks every
     # pair up to p = 23 (every triple up to p = 7)
-    from octopoly import central
+    from octopoly import intpoly
 
     quadratics = _irreducible_quadratics(p)
     assert len(quadratics) == (p * p - p) // 2
@@ -355,8 +355,8 @@ def test_split_quadratics_separates_every_pair(p):
         for factors in itertools.combinations(quadratics, size):
             g = factors[0]
             for f in factors[1:]:
-                g = central._mul(g, f, p)
-            assert sorted(central._split_quadratics(g, p)) == sorted(factors)
+                g = intpoly._mul(g, f, p)
+            assert sorted(intpoly._split_quadratics(g, p)) == sorted(factors)
 
 
 def test_factors_irreducible_quartic_remainder():
@@ -497,6 +497,29 @@ def test_numeric_roots_residual_bound(rng):
                 abs(c) * abs(r) ** k for k, c in enumerate(coeffs)
             )
             assert abs(val) <= bound
+
+
+def test_float_class_order_ignores_norm_rounding(monkeypatch):
+    # float z^4 - z^3 - 2*z + 2 = (z - 1)(z^3 - 2) has a real class and a
+    # complex pair whose norms are both 2^(2/3) and round apart; planted one
+    # ulp apart in each direction, the order is exact mode's (norm, -trace):
+    # the real class, with the larger trace, before the pair
+    r = 2.0 ** (1 / 3)
+    steps = range(-8, 9)
+    orders = []
+    for target in (math.nextafter(r * r, 0.0), math.nextafter(r * r, 4.0)):
+        re, im = next(
+            (re, im)
+            for re in (-r / 2 + k * 2.0**-53 for k in steps)
+            for im in (math.sqrt(3) * r / 2 + j * 2.0**-52 for j in steps)
+            if re * re + im * im == target
+        )
+        roots = [(1.0, 0.0)] * 2 + [(r, 0.0)] * 2 + [(re, im), (re, -im)]
+        monkeypatch.setattr(central, "numeric_roots", lambda coeffs, tol: roots)
+        got = central_roots(CentralPolynomial([1.0] * 7)).candidates
+        assert [c.trace for c in got[:2]] == [2.0, 2 * r] and got[2].norm == target
+        orders.append([c.field_degree for c in got])
+    assert orders == [[1, 1, 2]] * 2
 
 
 def test_float_class_invariants_must_be_finite(monkeypatch):

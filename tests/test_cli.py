@@ -426,11 +426,13 @@ def test_cli_malformed_number_exits_2(argv, mode, capsys):
         ("z^2 + 1e160*z + 1", "overflow"),
         ("1e-170*z^2 + 1", "underflow"),
         ("1e-160*z + 1", "overflow"),
+        ("z^8 + (4.5446453720950753e+18 + 4.5446453720950753e+18*i)*z^7 + 1", "overflow"),
     ],
 )
 def test_cli_float_range_loss_exits_4(poly, what, capsys):
-    # a companion coefficient or class invariant outside float64, or a
-    # leading norm that underflows to 0, is a numeric failure named as such
+    # a companion coefficient or class invariant outside float64, a leading
+    # norm that underflows to 0, or a root approximation at which |Phi| has
+    # no float64 value is a numeric failure named as such
     assert main(["solve", "--mode", "float", "--poly", poly]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

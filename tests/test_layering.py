@@ -63,3 +63,17 @@ def test_only_the_text_conveniences_import_inside_functions():
 def test_scalars_imports_only_errors_and_linalg():
     imported = {target for _, target in _imports_by_module()["scalars"]}
     assert imported <= {"errors", "linalg"}
+
+
+def test_intpoly_imports_only_math_and_itertools():
+    # the integer and modular polynomial helpers build on nothing of the
+    # package, so any search can use them
+    tree = ast.parse((SRC / "intpoly.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert _package_imports(tree) == []
+    assert imported == {"itertools", "math"}
