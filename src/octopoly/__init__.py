@@ -55,11 +55,8 @@ from .polynomials import (
     ReducedLinearForm,
     StandardPolynomial,
     companion,
-    eg_coeffs,
     eval_at,
     reduce_to_linear,
-    twist_left,
-    twist_two_sided,
 )
 from .scalars import EXACT, FLOAT, ToleranceSpec
 from .solver import (

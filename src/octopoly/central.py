@@ -105,15 +105,15 @@ def exact_quadratic_factors(Phi: CentralPolynomial):
         S = _quotient(R, _primitive_gcd(R, [k * c for k, c in enumerate(R)][1:]))
         found = _square_free_mod_p(S)
     p, f = found
-    lead, m = S[-1], p
-    while m <= 4 * (math.isqrt(sum(c * c for c in S)) + 1):
+    lead, m, bound = S[-1], p, 4 * (math.isqrt(sum([c * c for c in S])) + 1)
+    while m <= bound:
         m *= m
     local = [_newton_lift(S, u, p, m) for u in _local_factors(f, p)]
     pairs = itertools.combinations([h for h in local if len(h) == 2], 2)
     factors = []
     # the linears come first, so every rational root is taken from them
     for h in local + [_mul(a, b, m) for a, b in pairs]:
-        F = _primitive([x - m if 2 * x > m else x for x in (lead * c % m for c in h)])
+        F = _primitive([x - m if 2 * (x := lead * c % m) > m else x for c in h])
         mult = 0
         while (Q := _quotient(R, F)) is not None:
             R = Q
@@ -212,6 +212,8 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     the others, as conjugate pairs when it can (``_aberth``).  A residual
     above abs_eps + rel_eps * sum_k |b_k| |r|^k raises NumericFailureError
     with the residuals, and a |p(z)| beyond float64 raises it without them.
+    So does a rounding scale sum_k |b_k| |r|^k beyond float64, under which
+    every residual would pass and every inclusion disc would be the plane.
     Each approximation z_i then gets the inclusion radius
     r_i = n (|p(z_i)| + e_i) / |b_n prod_{j != i} (z_i - z_j)|, e_i the
     rounding bound.  Horner's values at conj(z) are those at z conjugated,
@@ -242,10 +244,12 @@ def numeric_roots(coeffs, tol: ToleranceSpec | None = None):
     for i, (_, _, scale) in enumerate(values):
         res = residuals[i]
         bound = tol.abs_eps + tol.rel_eps * scale
-        if not res <= bound:
+        if not (res <= bound and math.isfinite(scale)):
             why = "root finder residual %.3e exceeds bound %.3e" % (res, bound)
-            if not math.isfinite(res + bound):  # a root beyond float64 range
+            if not math.isfinite(res):  # a root beyond float64 range
                 why = "float64 overflow: the polynomial is not finite at a root approximation"
+            elif not math.isfinite(scale):  # every bound and radius would be infinite
+                why = "float64 overflow: the rounding scale is not finite at a root approximation"
             raise NumericFailureError(why, residuals=sorted(residuals, reverse=True))
         prod = b[n] * math.prod(z[i] - w for j, w in enumerate(z) if j != i)
         radii.append(n * (res + len(b) * _EPS * scale) / abs(prod) if prod else 0.0)

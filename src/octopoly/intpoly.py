@@ -1,7 +1,15 @@
 """Polynomials over Z and Z/m, as int lists c_0..c_n without trailing zeros
-([] is 0), for the exact factor search of ``central``.  Two loops divide:
-``_divmod`` by a monic polynomial mod m, and ``_zdivmod`` over Z, which
-stops at the first quotient coefficient that is not an integer."""
+([] is 0), for the exact factor search of ``central``.
+
+Every kernel is one pass per step over plain ints.  Over Z/m, ``_divmod``
+divides by a monic polynomial; over F_p, ``_rem`` reduces by any nonzero
+polynomial, scaling each quotient coefficient by the inverse of the leading
+one as it goes, and serves ``_monic_gcd`` and ``_mulmod`` (a product, then
+one reduction pass), which ``_powmod`` squares with.  Over Z, ``_zdivmod``
+stops at the first quotient coefficient that is not an integer, and
+``_quotient`` rejects a divisor by its end coefficients before it divides.
+``_newton_lift`` takes both remainders of a lifting step in one double
+synthetic division that never builds the quotient."""
 
 import itertools
 import math
@@ -50,12 +58,38 @@ def _divmod(a, b, m):
     return _trim(q), _trim([x % m for x in r[:n]])
 
 
+def _rem(a, b, p):
+    """a mod b over F_p for a nonzero b, in one pass from the top: each
+    quotient coefficient is read times -1/lc(b) and not stored, so b need
+    not be monic and a need not be reduced."""
+    n = len(b) - 1
+    r, low = list(a), b[:n]
+    inv = -pow(b[-1], -1, p)
+    for k in reversed(range(len(a) - n)):
+        c = r.pop() * inv % p
+        if c:
+            for j, y in enumerate(low, k):
+                r[j] += c * y
+    return _trim([x % p for x in r])
+
+
+def _mulmod(a, b, f, p):
+    """a b mod the monic f over F_p: the product over Z, then one
+    reduction pass."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _rem(out, f, p)
+
+
 def _monic_gcd(a, b, p):
-    """The monic gcd of a monic a and b over F_p."""
-    while b:
-        b = _monic(b, p)
-        a, b = b, _divmod(a, b, p)[1]
-    return a
+    """The monic gcd of a != 0 and b over F_p; a nonzero constant remainder
+    ends the sequence at gcd 1."""
+    while len(b) > 1:
+        a, b = b, _rem(a, b, p)
+    return [1] if b else _monic(a, p)
 
 
 def _powmod(a, e, f, p):
@@ -63,9 +97,9 @@ def _powmod(a, e, f, p):
     left-to-right binary powering."""
     out = a
     for bit in bin(e)[3:]:
-        out = _divmod(_mul(out, out, p), f, p)[1]
+        out = _mulmod(out, out, f, p)
         if bit == "1":
-            out = _divmod(_mul(out, a, p), f, p)[1]
+            out = _mulmod(out, a, f, p)
     return out
 
 
@@ -99,7 +133,11 @@ def _zdivmod(a, b):
 
 
 def _quotient(a, b):
-    """a / b if b divides a over Z, else None."""
+    """a / b if b divides a over Z, else None.  A nonzero a is first tested
+    at its ends: b | a needs lc(b) | lc(a) and b(0) | a(0), and b(0) = 0
+    (b has the factor z) needs a(0) = 0."""
+    if a and (a[-1] % b[-1] or (a[0] % b[0] if b[0] else a[0])):
+        return None
     qr = _zdivmod(a, b)
     return qr[0] if qr is not None and not qr[1] else None
 
@@ -194,19 +232,32 @@ def _newton_lift(S, u, p, m):
     doubling the modulus.  For h = z^2 + a z + b, with S = h q + r_1 z + r_0
     and q = h q_2 + s_1 z + s_0, the Jacobian of (r_1, r_0) in (a, b) is
     [[a s_1 - s_0, -s_1], [b s_1, -s_0]], whose determinant is the
-    resultant of h and q, a unit because S is square-free mod p.  For
-    h = z + b the remainders give r_1 = s_1 = 0, so the same step keeps
-    h's leading 1 and takes b to b + r_0 / s_0: Newton's r - S(r) / S'(r)
-    at the root r = -b (von zur Gathen & Gerhard, Modern Computer Algebra,
+    resultant of h and q, a unit because S is square-free mod p.  One
+    double synthetic division from S's top coefficient gives both
+    remainders: t_k = S_k - a t_(k+1) - b t_(k+2) are the coefficients of
+    q, each fed at once to the same recurrence for q by h, and q is never
+    stored.  For h = z + b the step keeps h's leading 1 (a = 1, and
+    r_1 = s_1 = 0) and takes b to b + r_0 / s_0, with r_0 = S(r) and
+    s_0 = q(r) = S'(r) by Horner's rule at the root r = -b: Newton's
+    r - S(r) / S'(r) (von zur Gathen & Gerhard, Modern Computer Algebra,
     sec. 15)."""
     h, mod = u, p
+    top = S[:1:-1]  # S_n .. S_2
     while mod < m:
         mod *= mod
         b, a = h[0], h[1]
-        q, rem = _divmod(S, h, mod)
-        r0, r1 = rem + [0] * (2 - len(rem))
-        rem = _divmod(q, h, mod)[1]
-        s0, s1 = rem + [0] * (2 - len(rem))
+        if len(h) == 2:  # r_0 = S(-b) and s_0 = S'(-b), by one Horner pass
+            r0 = s0 = r1 = s1 = 0
+            for c in reversed(S):
+                s0 = (s0 * -b + r0) % mod
+                r0 = (r0 * -b + c) % mod
+        else:
+            t1 = t2 = u1 = u2 = 0  # t_(k+1), t_(k+2); the same two for q
+            for c in top:
+                t1, t2 = (c - a * t1 - b * t2) % mod, t1
+                u1, u2 = (t1 - a * u1 - b * u2) % mod, u1
+            r1, r0 = (S[1] - a * t1 - b * t2) % mod, (S[0] - b * t1) % mod
+            s1, s0 = u2, (u1 + a * u2) % mod
         inv = pow(s0 * s0 - a * s0 * s1 + b * s1 * s1, -1, mod)
         da = (s1 * r0 - s0 * r1) * inv
         db = ((a * s1 - s0) * r0 - b * s1 * r1) * inv

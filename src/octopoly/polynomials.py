@@ -3,7 +3,7 @@
 A standard polynomial keeps all coefficients on the left of the variable:
 c_n z^n + ... + c_1 z + c_0.  The module also builds the central companion
 polynomial, reduces a polynomial modulo the characteristic relation
-z^2 = T z - N to a linear form E z + G, and produces both twist families.
+z^2 = T z - N to a linear form E z + G.
 """
 
 from __future__ import annotations
@@ -160,15 +160,6 @@ def eg_sequence(norm, trace, zero, one):
         e, g = trace * e + g, -norm * e
 
 
-def eg_coeffs(norm, trace, i):
-    """Central coefficients (e_i, g_i) with z^i = e_i z + g_i whenever
-    z^2 = trace*z - norm."""
-    if i < 0:
-        raise ValueError("power index must be nonnegative")
-    zero = norm * 0
-    return next(itertools.islice(eg_sequence(norm, trace, zero, zero + 1), i, None))
-
-
 class ReducedLinearForm(namedtuple("ReducedLinearForm", "E G norm trace")):
     """phi reduced on the class z^2 = trace*z - norm: phi(z) = E z + G there,
     with E and G Octonions and norm and trace scalars."""
@@ -208,31 +199,3 @@ def reduce_to_linear(phi: StandardPolynomial, norm, trace, weights=None) -> Redu
     weights = weights or power_weights(*alg.backend.clear_denominators(trace, norm), phi.degree)
     E, G = linear_form(phi, weights)
     return ReducedLinearForm(E=E, G=G, norm=norm, trace=trace)
-
-
-def _require_monic(phi, what):
-    if not phi.is_monic():
-        raise ValueError("%s requires a monic polynomial" % what)
-
-
-def twist_left(phi: StandardPolynomial, g: Octonion) -> StandardPolynomial:
-    """One-sided twist: coefficient k becomes g^-1 c_k (leading becomes g^-1).
-
-    Roots of the twists over all invertible g make up the left eigenvalues of
-    the companion matrix.
-    """
-    _require_monic(phi, "twist_left")
-    phi.algebra.check_same(g.algebra)
-    ginv = g.inverse()
-    coeffs = [ginv * c for c in phi.coeffs[:-1]] + [ginv]
-    return StandardPolynomial(phi.algebra, coeffs)
-
-
-def twist_two_sided(phi: StandardPolynomial, g: Octonion) -> StandardPolynomial:
-    """Two-sided twist: coefficient k becomes g^-1 c_k g^-1 (leading g^-2);
-    unambiguous by flexibility.  Governs the right eigenvalues."""
-    _require_monic(phi, "twist_two_sided")
-    phi.algebra.check_same(g.algebra)
-    ginv = g.inverse()
-    coeffs = [(ginv * c) * ginv for c in phi.coeffs[:-1]] + [ginv * ginv]
-    return StandardPolynomial(phi.algebra, coeffs)

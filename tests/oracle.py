@@ -2,12 +2,17 @@
 
 Deliberately written along a different path than the package: explicit
 4-coordinate quaternion product formulas (not a recursive doubling), plus a
-single doubling step to octonions.  Operates on plain 8-tuples of Fractions.
+single doubling step to octonions.  Operates on plain 8-tuples of Fractions,
+except for the twist oracles, which build package polynomials from package
+products, and the integer-polynomial references.
 """
 
 import cmath
 import math
 from fractions import Fraction
+
+from octopoly import StandardPolynomial
+from octopoly.intpoly import _divmod
 
 
 def quat_mul(x, y, alpha, beta):
@@ -191,3 +196,55 @@ def rand_coords(rng, lo=-9, hi=9, max_den=1):
     return tuple(
         Fraction(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(8)
     )
+
+
+def eg_coeffs(norm, trace, i):
+    """(e_i, g_i) with z^i = e_i z + g_i whenever z^2 = trace z - norm, by
+    i steps of e_(k+1) = trace e_k + g_k, g_(k+1) = -norm e_k from
+    (e_0, g_0) = (0, 1)."""
+    e, g = norm * 0, norm * 0 + 1
+    for _ in range(i):
+        e, g = trace * e + g, -norm * e
+    return e, g
+
+
+def twist_left(phi, g):
+    """The one-sided twist of a monic phi by an invertible g: c_k becomes
+    g^-1 c_k, and the leading 1 becomes g^-1.  The roots of all such twists
+    are left eigenvalues of the companion matrix (the paper's twist
+    theorem); a singular g raises as ``g.inverse()`` does."""
+    if not phi.is_monic():
+        raise ValueError("twist_left requires a monic polynomial")
+    ginv = g.inverse()
+    return StandardPolynomial(phi.algebra, [ginv * c for c in phi.coeffs[:-1]] + [ginv])
+
+
+def twist_two_sided(phi, g):
+    """The two-sided twist of a monic phi by an invertible g: c_k becomes
+    g^-1 c_k g^-1 (unambiguous by flexibility), and the leading 1 becomes
+    g^-2.  Its roots are right eigenvalues of the companion matrix."""
+    if not phi.is_monic():
+        raise ValueError("twist_two_sided requires a monic polynomial")
+    ginv = g.inverse()
+    coeffs = [(ginv * c) * ginv for c in phi.coeffs[:-1]] + [ginv * ginv]
+    return StandardPolynomial(phi.algebra, coeffs)
+
+
+def two_division_lift(S, u, p, m):
+    """The lifting step of the exact factor search as two divisions mod the
+    current modulus, q = S div h with S mod h, then q mod h, for the
+    Bairstow update of h = u mod p up to m = p^(2^j).  The reference of
+    ``intpoly._newton_lift``, which takes both remainders in one pass."""
+    h, mod = u, p
+    while mod < m:
+        mod *= mod
+        b, a = h[0], h[1]
+        q, rem = _divmod(S, h, mod)
+        r0, r1 = rem + [0] * (2 - len(rem))
+        rem = _divmod(q, h, mod)[1]
+        s0, s1 = rem + [0] * (2 - len(rem))
+        inv = pow(s0 * s0 - a * s0 * s1 + b * s1 * s1, -1, mod)
+        da = (s1 * r0 - s0 * r1) * inv
+        db = ((a * s1 - s0) * r0 - b * s1 * r1) * inv
+        h = [(b - db) % mod, (a - da) % mod] + h[2:]
+    return h

@@ -696,6 +696,27 @@ def test_a_cluster_whose_mirror_differs_in_size_fails(monkeypatch, capsys):
     assert captured.out == "" and "differ in size" in captured.err
 
 
+def test_an_infinite_rounding_scale_fails(monkeypatch, capsys):
+    # 5e307 (z - 1)(z - 2) at its exact roots: the residuals are finite but
+    # sum_k |b_k| |z|^k overflows at z = 2, which would make every bound and
+    # inclusion radius infinite and merge the roots into a false double root
+    monkeypatch.setattr(central, "_aberth", lambda coeffs: ([1 + 0j, 2 + 0j], False))
+    with pytest.raises(NumericFailureError, match="rounding scale is not finite"):
+        numeric_roots([1e308, -1.5e308, 5e307])
+    # phi = (z - c)(z - 2c), c = 2^255: Phi = phi^2 has finite coefficients
+    # and a scale of 144 c^4 > 1.8e308 at z = 2c; roots found to 2^-30
+    # would merge into one class of multiplicity 4, and the CLI exits 4
+    c, e = 2.0**255, 1 + 2.0**-30
+    found = [complex(c), complex(c * e), complex(2 * c), complex(2 * c * e)]
+    monkeypatch.setattr(central, "_aberth", lambda coeffs: (found, False))
+    text = "z^2 - %r*z + %r" % (3 * c, 2 * c * c)
+    A = OctonionAlgebra(-1, -1, -1, mode="float")
+    assert all(math.isfinite(b) for b in companion(parse_polynomial(text, A)).coeffs)
+    assert main(["solve", "--mode", "float", "--poly", text]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rounding scale is not finite" in captured.err
+
+
 def test_numeric_roots_failure_carries_residuals():
     # an unachievable tolerance raises instead of returning bad roots
     with pytest.raises(NumericFailureError) as info:

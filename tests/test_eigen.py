@@ -21,14 +21,12 @@ from octopoly import (
     same_class,
     solve,
     subalgebra_lev_check,
-    twist_left,
-    twist_two_sided,
     verify_eigen_pair,
 )
 from octopoly.algebra import Octonion
 from octopoly.polynomials import eg_sequence
 from conftest import rand_invertible, rand_octonion
-from oracle import max_abs, nu
+from oracle import max_abs, nu, twist_left, twist_two_sided
 
 F = Fraction
 

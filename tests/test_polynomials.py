@@ -12,16 +12,14 @@ from octopoly import (
     OctonionAlgebra,
     StandardPolynomial,
     companion,
-    eg_coeffs,
     eval_at,
     parse_polynomial,
     reduce_to_linear,
-    twist_left,
-    twist_two_sided,
 )
 from octopoly.scalars import over_common_denominator
 from conftest import rand_invertible, rand_octonion
-from oracle import loop_product, oct_conj, oct_mul, oct_norm, power_sum_eval
+from oracle import (eg_coeffs, loop_product, oct_conj, oct_mul, oct_norm, power_sum_eval,
+                    twist_left, twist_two_sided)
 
 
 @pytest.fixture()
