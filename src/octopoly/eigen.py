@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .algebra import Octonion
 from .central import central_roots
-from .polynomials import StandardPolynomial, companion, linear_form, power_weights, reduce_to_linear
+from .polynomials import StandardPolynomial, class_form, companion, reduce_to_linear
 from .solver import verify_root
 
 
@@ -85,7 +85,7 @@ def _membership(phi, lam, side):
     def act(x):
         return lam * x if side == Side.LEFT else x * lam
 
-    E, G = linear_form(phi, power_weights(*alg.backend.cleared_invariants(lam.vec), phi.degree))
+    E, G, _ = class_form(phi, *alg.backend.cleared_invariants(lam.vec))
     columns = alg.backend.operator_columns(E.vec, G.vec, lam.vec, side == Side.RIGHT)
     kernel = alg.backend.nullspace(columns)
     if kernel is None:
@@ -117,25 +117,32 @@ def rev_test(phi: StandardPolynomial, lam: Octonion) -> MembershipReport:
 def _class_point_parts(phi, norm, trace, g):
     if not phi.is_monic():
         raise ValueError("class points require a monic polynomial")
+    alg = phi.algebra
     red = reduce_to_linear(phi, norm, trace)
-    if red.E.is_zero():
+    einv = None if red.vanishes(phi, 0) else alg.backend.inverse(red.E.vec)
+    if einv is None:
         raise ValueError(
-            "E(N,T) = 0: the whole class consists of eigenvalues; "
-            "use a class witness instead"
+            "E(N,T) vanishes or is numerically singular: the whole class "
+            "consists of eigenvalues; use a class witness instead"
         )
-    return red.E.inverse(), red.G, g.inverse()
+    return Octonion(alg, einv), red.G, g.inverse()
 
 
 def lev_class_point(phi, norm, trace, g: Octonion) -> Octonion:
     """The left-eigenvalue representative -(E^-1 g)(g^-1 G) of the class;
-    sweeping g over invertible elements sweeps the class's whole LEV slice."""
+    sweeping g over invertible elements sweeps the class's whole LEV slice.
+
+    ValueError when E vanishes (by the reduction's ``vanishes``, the rule
+    ``resolve_class`` decides E = 0 by) or its inverse is numerically
+    singular: then the class has no such point."""
     einv, G, ginv = _class_point_parts(phi, norm, trace, g)
     return -((einv * g) * (ginv * G))
 
 
 def rev_class_point(phi, norm, trace, g: Octonion) -> Octonion:
     """The right-eigenvalue representative -g(E^-1(G g^-1)); over all g this
-    is exactly the conjugacy class of -E^-1 G."""
+    is exactly the conjugacy class of -E^-1 G.  ValueError when E vanishes
+    or is numerically singular, as for ``lev_class_point``."""
     einv, G, ginv = _class_point_parts(phi, norm, trace, g)
     return -(g * (einv * (G * ginv)))
 

@@ -9,7 +9,6 @@ z^2 = T z - N to a linear form E z + G.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -148,54 +147,47 @@ def companion(phi: StandardPolynomial) -> CentralPolynomial:
     return CentralPolynomial(b, den=den)
 
 
-def eg_sequence(norm, trace, zero, one):
-    """Yield (e_i, g_i) for i = 0, 1, 2, ... with z^i = e_i z + g_i whenever
-    z^2 = trace*z - norm, starting from (e_0, g_0) = (zero, one).
-
-    Recurrence: e_{i+1} = T e_i + g_i, g_{i+1} = -N e_i.
-    """
-    e, g = zero, one
-    while True:
-        yield e, g
-        e, g = trace * e + g, -norm * e
-
-
-class ReducedLinearForm(namedtuple("ReducedLinearForm", "E G norm trace")):
+class ReducedLinearForm(namedtuple("ReducedLinearForm", "E G norm trace weights")):
     """phi reduced on the class z^2 = trace*z - norm: phi(z) = E z + G there,
-    with E and G Octonions and norm and trace scalars."""
+    with E and G Octonions, norm and trace scalars, and ``weights`` the
+    (es, gs, den) of ``class_form``."""
 
     __slots__ = ()
 
-
-def power_weights(a, b, d, n):
-    """(es, gs, den) with z^i = (es[i] z + gs[i]) / den for i = 0..n on the
-    class with trace a/d and norm b/d^2.  The recurrence runs on a and b
-    (ints in exact mode, where the backend's ``clear_denominators`` or
-    ``cleared_invariants`` gives them): w = d z has w^2 = a w - b, so
-    z^i = (d e_i(a,b) z + g_i(a,b)) / d^i, and over den = d^n the weights
-    are e_i(a,b) d^(n-i+1) and g_i(a,b) d^(n-i).  In float mode d = 1."""
-    es, gs = zip(*itertools.islice(eg_sequence(b, a, 0, 1), n + 1))
-    if d != 1:
-        es = [e * d ** (n - i + 1) for i, e in enumerate(es)]
-        gs = [g * d ** (n - i) for i, g in enumerate(gs)]
-    return es, gs, d**n
+    def vanishes(self, phi, k):
+        """Is E (k = 0) or G (k = 1) zero?  Exactly in exact mode; in float
+        mode at the scale sum_i nu(c_i) |w_i| of its weights w, built only
+        when the test reads it.  The one zero rule of E and G."""
+        ws = self.weights[k]
+        return self[k].is_zero(lambda: sum(m * abs(w) for m, w in zip(phi.magnitudes, ws)))
 
 
-def linear_form(phi: StandardPolynomial, weights):
-    """(E, G): sum_i c_i es[i] / den and sum_i c_i gs[i] / den for
-    ``power_weights`` (es, gs, den), each one backend combination."""
-    es, gs, den = weights
-    alg, vecs = phi.algebra, [c.vec for c in phi.coeffs]
-    return tuple(Octonion(alg, alg.backend.combine(vecs, w, den)) for w in (es, gs))
+def class_form(phi: StandardPolynomial, a, b, d):
+    """(E, G, (es, gs, den)) of phi on the class with trace a/d and norm
+    b/d^2, with z^i = (es[i] z + gs[i]) / den for i = 0..n.
+
+    a and b are ints in exact mode (from the backend's
+    ``clear_denominators`` or ``cleared_invariants``); in float mode d = 1.
+    w = d z has w^2 = a w - b, so w^i = e_i w + g_i by e_(i+1) = a e_i +
+    g_i, g_(i+1) = -b e_i from (e_0, g_0) = (0, 1), and z^i = (d e_i z +
+    g_i) / d^i: over den = d^n the weights are e_i d^(n-i+1) and g_i
+    d^(n-i).  E and G are each one backend combination of the coefficients."""
+    n = phi.degree
+    es, gs, e, g = [], [], 0, 1
+    for i in range(n + 1):
+        es.append(e * d ** (n - i + 1))
+        gs.append(g * d ** (n - i))
+        e, g = a * e + g, -b * e
+    alg, vecs, den = phi.algebra, [c.vec for c in phi.coeffs], d**n
+    E, G = (Octonion(alg, alg.backend.combine(vecs, w, den)) for w in (es, gs))
+    return E, G, (es, gs, den)
 
 
-def reduce_to_linear(phi: StandardPolynomial, norm, trace, weights=None) -> ReducedLinearForm:
+def reduce_to_linear(phi: StandardPolynomial, norm, trace) -> ReducedLinearForm:
     """E = sum c_i e_i(N,T), G = sum c_i g_i(N,T); for every lam with
-    invariants (T, N), eval_at(phi, lam) == E*lam + G.  ``weights`` are the
-    class's ``power_weights``, when the caller has them."""
+    invariants (T, N), eval_at(phi, lam) == E*lam + G."""
     alg = phi.algebra
     norm = alg.scalar(norm)
     trace = alg.scalar(trace)
-    weights = weights or power_weights(*alg.backend.clear_denominators(trace, norm), phi.degree)
-    E, G = linear_form(phi, weights)
-    return ReducedLinearForm(E=E, G=G, norm=norm, trace=trace)
+    E, G, weights = class_form(phi, *alg.backend.clear_denominators(trace, norm))
+    return ReducedLinearForm(E, G, norm, trace, weights)

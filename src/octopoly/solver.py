@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebra import SPLIT, Octonion, OctonionAlgebra, has_invariants
 from .central import ClassCandidate, central_roots
 from .errors import NumericFailureError, SingularElementError, UnsupportedAlgebraError
-from .polynomials import StandardPolynomial, companion, eval_at, power_weights, reduce_to_linear
+from .polynomials import StandardPolynomial, companion, eval_at, reduce_to_linear
 
 SINGLE_ROOT = "single_root"
 FULL_CLASS = "full_class"
@@ -135,8 +135,9 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
     verified), E = 0 != G leaves an empty class (possible only through float
     drift), and invertible E pins the unique representative -E^-1 G, emitted
     only if substitution and the invariants check out, else undetermined
-    (the class embeds, so it is never reported not embeddable).  One
-    ``power_weights`` pass gives E, G and their scales sum_i nu(c_i) |w_i|.
+    (the class embeds, so it is never reported not embeddable).  E = 0 and
+    G = 0 are the reduction's ``vanishes`` tests: exact in exact mode, at
+    the scale sum_i nu(c_i) |w_i| of their weights in float mode.
     """
     alg = phi.algebra
     trace = alg.scalar(cand.trace)
@@ -148,15 +149,9 @@ def resolve_class(phi: StandardPolynomial, cand: ClassCandidate) -> ClassResolut
         return ClassResolution(NO_ROOT_IN_CLASS)
     if not alg.backend.embeds(trace, norm):
         return ClassResolution(NOT_EMBEDDABLE)
-    weights = power_weights(*alg.backend.clear_denominators(trace, norm), phi.degree)
-    red = reduce_to_linear(phi, norm, trace, weights)
-
-    def scale(k):
-        """Magnitude the sum E (k = 0) or G (k = 1) lives at (float mode)."""
-        return lambda: sum(m * abs(w) for m, w in zip(phi.magnitudes, weights[k]))
-
-    if red.E.is_zero(scale(0)):
-        if red.G.is_zero(scale(1)):
+    red = reduce_to_linear(phi, norm, trace)
+    if red.vanishes(phi, 0):
+        if red.vanishes(phi, 1):
             witness = class_witness(alg, norm, trace)
             if witness is None:
                 return ClassResolution(
@@ -210,11 +205,6 @@ def solve(phi: StandardPolynomial) -> RootReport:
         )
     found = central_roots(Phi, tol=alg.tol)
     warnings = list(found.warnings)
-    if found.discarded_degree:
-        warnings.append(
-            "discarded closure roots spanning degree %d (field degree > 2)"
-            % found.discarded_degree
-        )
     classes = []
     roots = []
     full_classes = []

@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 
 from octopoly import StandardPolynomial
-from octopoly.intpoly import _divmod
 
 
 def quat_mul(x, y, alpha, beta):
@@ -230,6 +229,20 @@ def twist_two_sided(phi, g):
     return StandardPolynomial(phi.algebra, coeffs)
 
 
+def _long_division(a, h, m):
+    """(quotient, remainder) of a by the monic h mod m, by schoolbook long
+    division: while deg a >= deg h, subtract lc(a) z^k h for k = deg a -
+    deg h.  The remainder has deg h coefficients (fewer when a has)."""
+    n = len(h) - 1
+    r = [x % m for x in a]
+    q = [0] * max(len(r) - n, 0)
+    while len(r) > n:
+        k = len(r) - 1 - n
+        q[k] = c = r[-1]
+        r = [(x - c * h[i - k]) % m if i >= k else x for i, x in enumerate(r[:-1])]
+    return q, r
+
+
 def two_division_lift(S, u, p, m):
     """The lifting step of the exact factor search as two divisions mod the
     current modulus, q = S div h with S mod h, then q mod h, for the
@@ -239,9 +252,9 @@ def two_division_lift(S, u, p, m):
     while mod < m:
         mod *= mod
         b, a = h[0], h[1]
-        q, rem = _divmod(S, h, mod)
+        q, rem = _long_division(S, h, mod)
         r0, r1 = rem + [0] * (2 - len(rem))
-        rem = _divmod(q, h, mod)[1]
+        rem = _long_division(q, h, mod)[1]
         s0, s1 = rem + [0] * (2 - len(rem))
         inv = pow(s0 * s0 - a * s0 * s1 + b * s1 * s1, -1, mod)
         da = (s1 * r0 - s0 * r1) * inv

@@ -1,13 +1,15 @@
 """Companion matrices and left/right eigenvalue machinery."""
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from octopoly import (
+    FULL_CLASS,
+    SINGLE_ROOT,
     OctonionAlgebra,
+    SingularElementError,
     Side,
     StandardPolynomial,
     companion,
@@ -15,6 +17,7 @@ from octopoly import (
     lev_class_point,
     lev_test,
     parse_polynomial,
+    reduce_to_linear,
     rev_class_point,
     rev_classes,
     rev_test,
@@ -24,9 +27,8 @@ from octopoly import (
     verify_eigen_pair,
 )
 from octopoly.algebra import Octonion
-from octopoly.polynomials import eg_sequence
 from conftest import rand_invertible, rand_octonion
-from oracle import max_abs, nu, twist_left, twist_two_sided
+from oracle import eg_coeffs, max_abs, nu, twist_left, twist_two_sided
 
 F = Fraction
 
@@ -113,6 +115,56 @@ def test_class_point_needs_nonzero_E(alg):
     sq = parse_polynomial("z^2 + 1", alg)
     with pytest.raises(ValueError):
         lev_class_point(sq, 1, 0, alg.one)
+
+
+def full_class_family(k):
+    """(phi, g), 100 draws: phi = psi(z)(z^2 - z + 1) over (-1,-1,-1) in
+    float mode, so that its class (1, 1) is a full class of roots, with psi
+    a monic cubic whose coordinates are uniform in [-1, 1] times 10^k, and g
+    a twist parameter with coordinates uniform in [-1, 1]."""
+    A = OctonionAlgebra(-1, -1, -1, mode="float")
+    rng = random.Random("class point %g" % 10**k)
+    for _ in range(100):
+        psi = [A.octonion([rng.uniform(-1, 1) * 10**k for _ in range(8)]) for _ in range(3)]
+        c = [A.zero, A.zero] + psi + [A.one, A.zero, A.zero]
+        phi = StandardPolynomial(A, [c[m + 2] - c[m + 1] + c[m] for m in range(6)])
+        yield phi, A.octonion([rng.uniform(-1, 1) for _ in range(8)])
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_class_points_refuse_exactly_the_full_classes(k):
+    # the class points decide E = 0 by the rule resolve_class decides it
+    # by: ValueError on each class solve reports full (never
+    # SingularElementError, never a point off the class), a point wherever
+    # it reports a single root
+    for phi, g in full_class_family(k):
+        full = 0
+        for cand, res in solve(phi).classes:
+            if res.status == FULL_CLASS:
+                full += 1
+                assert abs(cand.trace - 1) < 1e-6 and abs(cand.norm - 1) < 1e-6
+                for point in (lev_class_point, rev_class_point):
+                    with pytest.raises(ValueError):
+                        point(phi, cand.norm, cand.trace, g)
+            elif res.status == SINGLE_ROOT:
+                for point in (lev_class_point, rev_class_point):
+                    point(phi, cand.norm, cand.trace, g)
+        assert full == 1
+
+
+def test_class_points_refuse_a_numerically_singular_E():
+    # on the class (0, 1) of z^2 + 1e-6 z + 2, E = 1e-6 is nonzero at its
+    # scale sum_i nu(c_i) |e_i| = 1e-6, but Norm(E) = 1e-12 is zero at the
+    # inverse's scale: ValueError, not SingularElementError
+    A = OctonionAlgebra(-1, -1, -1, mode="float")
+    phi = StandardPolynomial(A, [A.scalar_octonion(2.0), A.scalar_octonion(1e-6), A.one])
+    red = reduce_to_linear(phi, 1, 0)
+    assert red.E == A.scalar_octonion(1e-6) and not red.vanishes(phi, 0)
+    with pytest.raises(SingularElementError):
+        red.E.inverse()
+    for point in (lev_class_point, rev_class_point):
+        with pytest.raises(ValueError):
+            point(phi, 1, 0, A.one)
 
 
 def test_rev_classes_examples(alg, psi):
@@ -370,7 +422,7 @@ def test_eigenvector_equals_the_reduced_powers(params):
             assert rep.member
             gamma = rep.kernel_element
             moved = point * gamma if side == Side.LEFT else gamma * point
-            eg = itertools.islice(eg_sequence(norm, trace, 0, 1), deg)
+            eg = [eg_coeffs(norm, trace, i) for i in range(deg)]
             assert rep.eigenvector == tuple(moved * e_i + gamma * g_i for e_i, g_i in eg)
 
 

@@ -69,10 +69,10 @@ RECORDS = [
     ),
     (
         ReducedLinearForm,
-        ("E", "G", "norm", "trace"),
+        ("E", "G", "norm", "trace", "weights"),
         {},
-        ("E", "G", 1, 0),
-        "ReducedLinearForm(E='E', G='G', norm=1, trace=0)",
+        ("E", "G", 1, 0, "w"),
+        "ReducedLinearForm(E='E', G='G', norm=1, trace=0, weights='w')",
     ),
     (
         ClassResolution,

@@ -30,9 +30,9 @@ from octopoly import (
 )
 from octopoly import solver
 from octopoly.algebra import Octonion
-from octopoly.polynomials import power_weights, reduce_to_linear
+from octopoly.polynomials import reduce_to_linear
 from conftest import rand_invertible, rand_octonion
-from oracle import nu
+from oracle import eg_coeffs, nu
 
 F = Fraction
 
@@ -385,11 +385,12 @@ def test_zero_scales_read_the_stored_magnitudes(alg, monkeypatch):
         want = sum(m * nu(lam) ** i for i, m in enumerate(nus))
         assert [x.hex() for x in seen.values()] == [want.hex()]
         for cand in central_roots(companion(phi), A.tol).candidates:
-            weights = power_weights(cand.trace, cand.norm, 1, phi.degree)
-            E = reduce_to_linear(phi, cand.norm, cand.trace, weights).E
+            red = reduce_to_linear(phi, cand.norm, cand.trace)
+            es = [eg_coeffs(cand.norm, cand.trace, i)[0] for i in range(phi.degree + 1)]
+            assert list(red.weights[0]) == es and red.weights[2] == 1
             seen.clear()
             resolve_class(phi, cand)
-            want = sum(m * abs(w) for m, w in zip(nus, weights[0]))
-            assert cand.field_degree == 1 or seen[E.vec].hex() == want.hex()
+            want = sum(m * abs(w) for m, w in zip(nus, red.weights[0]))
+            assert cand.field_degree == 1 or seen[red.E.vec].hex() == want.hex()
         assert [m.hex() for m in phi.magnitudes] == [m.hex() for m in nus]
         assert sum(any(x is c for c in phi.coeffs) for x in calls) == len(phi.coeffs)
