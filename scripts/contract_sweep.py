@@ -35,6 +35,14 @@ A solve violates the contract when it raises or exits nonzero, when lambda
 is neither a reported root nor in a reported full class, or when the
 factors of the companion times its remainder do not give it back exactly.
 
+A fourth count runs the full-class family: the exact ``z^2 + s`` for
+s = 1..50 over (-1,-1,-1), (-2,-3,-5) and (-7,-11,-13), 150 solves.  Each
+must report one class, trace 0, norm s, field degree 2 and multiplicity 2,
+that ends ``full_class`` with a witness of invariants (0, s) or
+``undetermined``; anything else, an exception or a nonzero exit is a
+violation.  The ``undetermined`` count (no class witness found) is printed,
+not gated.
+
 Run:  PYTHONPATH=src python3 scripts/contract_sweep.py
 The exit status is 1 when any violation is found.
 """
@@ -70,6 +78,9 @@ EXACT_CLASS_ALGEBRAS = [
     ((-7, -11, -13), [120, 0, 3, 2, 4, 0, 0, 0]),
 ]
 EXACT_SPAN = 10**6
+# the full-class family: z^2 + s over these algebras for s in FULL_CLASS_NORMS
+FULL_CLASS_ALGEBRAS = [("-1", "-1", "-1"), ("-2", "-3", "-5"), ("-7", "-11", "-13")]
+FULL_CLASS_NORMS = range(1, 51)
 
 
 def polynomial_text(A, draw, degree, monic, rng):
@@ -237,5 +248,48 @@ def exact_class_family():
     return violations
 
 
+def full_class_problem(doc, A, s):
+    """(violation or None, undetermined) for the report of z^2 + s over A:
+    one class (0, s) of field degree 2 and multiplicity 2, ``full_class``
+    with a witness of invariants (0, s) or ``undetermined``."""
+    classes = doc["classes"]
+    if len(classes) != 1:
+        return "%d classes, not 1" % len(classes), False
+    c = classes[0]
+    key = (c["trace"], c["norm"], c["field_degree"], c["multiplicity"])
+    if key != ("0", str(s), 2, 2):
+        return "class (trace, norm, field degree, multiplicity) %r" % (key,), False
+    if c["resolution"] == "undetermined":
+        return None, True
+    if c["resolution"] != "full_class":
+        return "the class ended %s" % c["resolution"], False
+    if A.octonion(c["witness"]).invariants() != (0, s):
+        return "the witness %s is not in the class (0, %d)" % (c["witness"], s), False
+    return None, False
+
+
+def full_class_family():
+    start = time.monotonic()
+    solves = violations = undetermined = 0
+    for params in FULL_CLASS_ALGEBRAS:
+        A = OctonionAlgebra(*params)
+        for s in FULL_CLASS_NORMS:
+            argv = ["solve", "--mode", "exact", "--alpha", params[0], "--beta", params[1],
+                    "--gamma", params[2], "--poly", "z^2 + %d" % s]
+            problem, _, doc = query(argv)
+            undecided = False
+            if not problem:
+                problem, undecided = full_class_problem(doc, A, s)
+            solves += 1
+            undetermined += undecided
+            if problem:
+                violations += 1
+                report(problem, argv)
+    print("full-class family: %d solves, %d violations (%d undetermined, not gated) in %.1f s"
+          % (solves, violations, undetermined, time.monotonic() - start))
+    return violations
+
+
 if __name__ == "__main__":
-    sys.exit(1 if main_sweep() + overflow_family() + exact_class_family() else 0)
+    sys.exit(1 if main_sweep() + overflow_family() + exact_class_family()
+             + full_class_family() else 0)

@@ -13,7 +13,6 @@ import types
 from .algebra import (
     DIVISION,
     SPLIT,
-    DivisionCheck,
     Octonion,
     OctonionAlgebra,
     bilinear_form,

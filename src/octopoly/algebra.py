@@ -25,20 +25,11 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .errors import ConfigurationError, SingularElementError
 from .scalars import EXACT, ToleranceSpec, backend_for
 
 DIVISION = "division"
 SPLIT = "split"
-
-
-class DivisionCheck(namedtuple("DivisionCheck", "status")):
-    """Outcome of the division-algebra test: the norm form is anisotropic
-    (``division``) or isotropic (``split``), by the signs of alpha, beta, gamma."""
-
-    __slots__ = ()
 
 
 class OctonionAlgebra:
@@ -146,13 +137,13 @@ class OctonionAlgebra:
     def division_check(self):
         """Classify the algebra by (an)isotropy of its 8-variable norm form.
 
-        The status is ``division`` if alpha, beta and gamma are all negative
-        (the form is then positive definite) and ``split`` otherwise: an
+        Returns ``DIVISION`` if alpha, beta and gamma are all negative (the
+        form is then positive definite) and ``SPLIT`` otherwise: an
         indefinite form is isotropic over the reals and, in dimension 8 > 4,
         over every p-adic field, hence over Q by Hasse-Minkowski.
         """
         negative = self.alpha < 0 and self.beta < 0 and self.gamma < 0
-        return DivisionCheck(DIVISION if negative else SPLIT)
+        return DIVISION if negative else SPLIT
 
     def __repr__(self):
         return "OctonionAlgebra(alpha=%s, beta=%s, gamma=%s, mode=%r)" % (
@@ -200,7 +191,8 @@ class Octonion:
         o = self._binary(other)
         if o is None:
             return NotImplemented
-        return Octonion(self.algebra, self.algebra.backend.sub(self.vec, o.vec))
+        backend = self.algebra.backend  # x + (-y) is x - y exactly in both backends
+        return Octonion(self.algebra, backend.add(self.vec, backend.neg(o.vec)))
 
     def __neg__(self):
         return Octonion(self.algebra, self.algebra.backend.neg(self.vec))

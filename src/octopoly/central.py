@@ -42,13 +42,11 @@ class ClassCandidate(
     __slots__ = ()
 
 
-class CentralRoots(
-    namedtuple("CentralRoots", "candidates warnings discarded_degree", defaults=((), 0))
-):
-    """Candidates (a tuple of :class:`ClassCandidate`) plus bookkeeping: a
-    tuple of warnings and the degree (an int) of the part of the polynomial
-    whose roots generate extensions of degree > 2 (those can never embed
-    into the algebra and are discarded)."""
+class CentralRoots(namedtuple("CentralRoots", "candidates warnings", defaults=((),))):
+    """Candidates (a tuple of :class:`ClassCandidate`) and a tuple of
+    warnings; one of them states the degree of an exact remainder whose
+    roots generate extensions of degree > 2 (those never embed into the
+    algebra and are discarded)."""
 
     __slots__ = ()
 
@@ -349,7 +347,7 @@ def exact_candidates(Phi):
         )
     cands.sort(key=lambda c: c.trace, reverse=True)  # stable: by (norm, -trace)
     cands.sort(key=lambda c: c.norm)
-    return CentralRoots(tuple(cands), tuple(warnings), fact.remainder.degree)
+    return CentralRoots(tuple(cands), tuple(warnings))
 
 
 def central_roots(Phi: CentralPolynomial, tol=None):
@@ -357,10 +355,9 @@ def central_roots(Phi: CentralPolynomial, tol=None):
 
     Candidates are deduplicated on (trace, norm) with summed multiplicity and
     sorted by (norm, -trace).  Exact Phi (``Phi.ints``) takes the complete
-    factor search: every closure root of degree <= 2 yields a candidate, and
-    the roots generating extensions of degree > 2 make up
-    ``discarded_degree``.  Float Phi takes the root clusters under ``tol``,
-    and a trace or norm beyond float64 raises NumericFailureError.
+    factor search: every closure root of degree <= 2 yields a candidate.
+    Float Phi takes the root clusters under ``tol``, and a trace or norm
+    beyond float64 raises NumericFailureError.
     """
     if Phi.degree < 1:
         raise ValueError("central_roots needs a nonconstant polynomial")

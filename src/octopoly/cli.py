@@ -149,7 +149,7 @@ def _coords(x):
 def _algebra_json(alg):
     fmt = alg.backend.format
     data = {"alpha": fmt(alg.alpha), "beta": fmt(alg.beta), "gamma": fmt(alg.gamma),
-            "mode": alg.mode, "division": alg.division_check().status}
+            "mode": alg.mode, "division": alg.division_check()}
     if alg.mode == FLOAT:
         data.update(abs_eps=alg.tol.abs_eps, rel_eps=alg.tol.rel_eps)
     return data

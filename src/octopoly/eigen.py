@@ -34,13 +34,9 @@ class Side(enum.Enum):
 class CompanionMatrix(namedtuple("CompanionMatrix", "entries degree")):
     """n x n octonion matrix, ``entries`` a tuple of row tuples of Octonions
     and ``degree`` the int n: rows 0..n-2 carry a shifted identity, the last
-    row carries the negated coefficients.  ``m[r, c]`` is an entry."""
+    row carries the negated coefficients."""
 
     __slots__ = ()
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.entries[r][c]
 
 
 def companion_matrix(phi: StandardPolynomial) -> CompanionMatrix:

@@ -159,9 +159,6 @@ def _reduced(nums, den):
 
 
 class _Backend:
-    def __init__(self, tol):
-        self.tol = tol
-
     def is_zero(self, x, scale=None):
         """Is ``x`` zero at the scale that ``scale()`` returns (default 1)?"""
         return self.all_zero((x,), scale)
@@ -173,10 +170,6 @@ class _Backend:
     def term(self, mag, symbol):
         """Text of a positive coefficient ``mag`` on a basis symbol."""
         return "%s*%s" % (self.format(mag), symbol)
-
-    def sub(self, x, y):
-        """x - y of two vectors (x + (-y) is exact in both backends)."""
-        return self.add(x, self.neg(y))
 
     def _hold_structure(self, coeffs, tden, start):
         """Compile and return the product of coordinate sequences under the
@@ -271,11 +264,9 @@ class Exact(_Backend):
 
     def nullspace(self, columns):
         """Kernel vector, or None, of the matrix whose columns are the given
-        vectors: the columns are brought over one denominator, which leaves
-        the kernel unchanged, and the integer rows go to Bareiss elimination."""
-        den = math.lcm(*(d for _, d in columns))
-        scaled = [[n * (den // d) for n in nums] for nums, d in columns]
-        return linalg.exact_nullspace_vector(list(zip(*scaled)))
+        vectors over one shared denominator (as ``operator_columns`` gives
+        them): Bareiss elimination on the integer numerators."""
+        return linalg.exact_nullspace_vector(list(zip(*(nums for nums, _ in columns))))
 
     # -- vectors -----------------------------------------------------------
 
@@ -414,10 +405,15 @@ class Float(_Backend):
 
     _ZERO = 0.0
 
+    def __init__(self, tol):
+        self.tol = tol
+
     def coerce(self, value):
-        """Anything float() accepts, plus 'p/q' strings (a string is read by
-        ``literal``), whose value is a finite float64 that is 0 only when
-        the value is."""
+        """Anything float() accepts but a bool or bytes-like object (as in
+        exact mode), plus 'p/q' strings (a string is read by ``literal``),
+        whose value is a finite float64 that is 0 only when the value is."""
+        if isinstance(value, (bool, bytes, bytearray, memoryview)):
+            raise TypeError("cannot use %r as a float scalar" % (value,))
         if isinstance(value, str):
             return self.literal(value)
         try:
@@ -583,9 +579,8 @@ class Float(_Backend):
 
 
 def backend_for(mode, tol=None):
-    """The backend of ``mode`` ('exact' or 'float') with tolerance ``tol``
-    (default :class:`ToleranceSpec`)."""
-    backends = {EXACT: Exact, FLOAT: Float}
-    if mode not in backends:
+    """The backend of ``mode`` ('exact' or 'float'); the float backend
+    decides zero by ``tol`` (default :class:`ToleranceSpec`)."""
+    if mode not in MODES:
         raise ConfigurationError("mode must be one of %r" % (MODES,))
-    return backends[mode](tol if tol is not None else ToleranceSpec())
+    return Float(tol if tol is not None else ToleranceSpec()) if mode == FLOAT else Exact()

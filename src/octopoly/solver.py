@@ -190,7 +190,7 @@ def solve(phi: StandardPolynomial) -> RootReport:
     if phi.degree < 1:
         raise ValueError("solve needs a polynomial of degree >= 1")
     alg = phi.algebra
-    if alg.division_check().status == SPLIT:
+    if alg.division_check() == SPLIT:
         params = zip(("alpha", "beta", "gamma"), (alg.alpha, alg.beta, alg.gamma))
         positive = ", ".join("%s = %s > 0" % p for p in params if p[1] > 0)
         raise UnsupportedAlgebraError(

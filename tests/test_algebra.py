@@ -277,25 +277,25 @@ def test_conjugator_requires_same_class(alg):
 
 
 def test_division_check():
-    assert OctonionAlgebra(-1, -1, -1).division_check() == (DIVISION,)
-    assert OctonionAlgebra(-1, -7, -2).division_check().status == DIVISION
-    assert OctonionAlgebra(Fraction(-1, 3), -7, -2).division_check().status == DIVISION
+    assert OctonionAlgebra(-1, -1, -1).division_check() == DIVISION == "division"
+    assert OctonionAlgebra(-1, -7, -2).division_check() == DIVISION
+    assert OctonionAlgebra(Fraction(-1, 3), -7, -2).division_check() == DIVISION
     # one positive parameter makes the norm form indefinite: 1 + l is
     # isotropic in the first, 1 + i + l in the second
     A = OctonionAlgebra(-1, -1, 1)
-    assert A.division_check() == (SPLIT,)
+    assert A.division_check() == SPLIT == "split"
     assert (A.one + A.basis_element(4)).norm() == 0
     B = OctonionAlgebra(-1, -1, 2)
-    assert B.division_check().status == SPLIT
+    assert B.division_check() == SPLIT
     assert B.parse("1 + i + l").norm() == 0
     for params in [(1, -1, -1), (-1, 3, -1), (2, 3, 5)]:
-        assert OctonionAlgebra(*params).division_check().status == SPLIT
+        assert OctonionAlgebra(*params).division_check() == SPLIT
 
 
 def test_division_check_float():
-    assert OctonionAlgebra(-1, -1, -1, mode="float").division_check().status == DIVISION
+    assert OctonionAlgebra(-1, -1, -1, mode="float").division_check() == DIVISION
     A = OctonionAlgebra(-1.0, -1.0, 2.0, mode="float")
-    assert A.division_check().status == SPLIT
+    assert A.division_check() == SPLIT
     w = A.octonion([2**0.5, 0, 0, 0, 1, 0, 0, 0])
     assert abs(w.norm()) < 1e-9
 
@@ -377,6 +377,23 @@ def test_float_mode_basics(alg_float):
     x = alg_float.octonion([0.3, -1.2, 0.5, 0.0, 2.0, 0.0, 0.0, 1.0])
     y = x * x.inverse()
     assert max(abs(c) for c in (y - alg_float.one).coords) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize(
+    "value",
+    [True, False, b"1", bytearray(b"1"), memoryview(b"1")],
+    ids=["True", "False", "bytes", "bytearray", "memoryview"],
+)
+def test_bools_and_bytes_are_not_scalars(mode, value):
+    # float() reads them as 0.0 or 1.0; both modes refuse them instead
+    A = OctonionAlgebra(-1, -1, -1, mode=mode)
+    with pytest.raises(TypeError):
+        A.scalar(value)
+    with pytest.raises(TypeError):
+        A.octonion([value] + [0] * 7)
+    with pytest.raises(TypeError):
+        A.one * value
 
 
 def test_bad_parameters():

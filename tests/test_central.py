@@ -422,7 +422,7 @@ def test_count_conservation(rng):
         Phi = CentralPolynomial(coeffs)
         found = central_roots(Phi)
         total = sum(c.field_degree * c.multiplicity for c in found.candidates)
-        assert total + found.discarded_degree == Phi.degree
+        assert total + exact_quadratic_factors(Phi).remainder.degree == Phi.degree
 
 
 # a planted non-monic degree-10 polynomial over (-2,-3,-5) with coordinates in
@@ -456,8 +456,8 @@ def test_exact_search_is_complete_on_degree_10():
 def test_discarded_note_for_deep_extension():
     found = central_roots(_cp(1, 1, 0, 0, 1))
     assert found.candidates == ()
-    assert found.discarded_degree == 4
-    assert any("degree > 2" in w for w in found.warnings)
+    assert exact_quadratic_factors(_cp(1, 1, 0, 0, 1)).remainder.degree == 4
+    assert any(w.startswith("degree-4 remainder") and "degree > 2" in w for w in found.warnings)
 
 
 # -- numeric roots ------------------------------------------------------------

@@ -8,7 +8,6 @@ from octopoly import (
     ClassCandidate,
     CompanionMatrix,
     ConfigurationError,
-    DivisionCheck,
     ExactFactorization,
     MembershipReport,
     ReducedLinearForm,
@@ -18,13 +17,6 @@ from octopoly.solver import ClassResolution, RootReport
 
 # (record, its fields in order, its defaults, positional arguments, repr)
 RECORDS = [
-    (
-        DivisionCheck,
-        ("status",),
-        {},
-        ("split",),
-        "DivisionCheck(status='split')",
-    ),
     (
         ToleranceSpec,
         ("abs_eps", "rel_eps"),
@@ -41,10 +33,10 @@ RECORDS = [
     ),
     (
         CentralRoots,
-        ("candidates", "warnings", "discarded_degree"),
-        {"warnings": (), "discarded_degree": 0},
+        ("candidates", "warnings"),
+        {"warnings": ()},
         ((),),
-        "CentralRoots(candidates=(), warnings=(), discarded_degree=0)",
+        "CentralRoots(candidates=(), warnings=())",
     ),
     (
         ExactFactorization,
@@ -108,11 +100,6 @@ def test_record_contract(cls, fields, defaults, args, text):
         x.extra = 1
     y = cls(*args)
     assert y is not x and y == x and hash(y) == hash(x)
-
-
-def test_companion_matrix_is_indexed_by_row_and_column():
-    m = CompanionMatrix((("a", "b"), ("c", "d")), 2)
-    assert m[1, 0] == "c" and m.entries[0][1] == "b"
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
