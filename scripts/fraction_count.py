@@ -10,7 +10,8 @@ arithmetic calls instead.  One JSON line gives the count per operation kind
 (solve, lev, rev; ``-exact`` or ``-float``) and the total.
 
 Run:  PYTHONPATH=src python3 scripts/fraction_count.py --seed 1 [--max N]
-The exit status is 1 when ``--max`` is given and the total exceeds it.
+The exit status is 1 when the exact eigen tests build a Fraction (lev-exact
+or rev-exact is not 0), or when ``--max`` is given and the total exceeds it.
 """
 
 import argparse
@@ -74,10 +75,14 @@ def main(argv=None):
         counts[kind] += fraction_constructions(fn, *fn_args)[1]
     total = sum(counts.values())
     print(json.dumps(dict(sorted(counts.items()), total=total, seed=args.seed)))
+    eigen = counts["lev-exact"] + counts["rev-exact"]
+    failed = eigen > 0
+    if failed:
+        print("the exact eigen tests built %d Fractions, not 0" % eigen, file=sys.stderr)
     if args.max is not None and total > args.max:
         print("%d Fractions built, more than %d" % (total, args.max), file=sys.stderr)
-        return 1
-    return 0
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

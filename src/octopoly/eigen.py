@@ -19,7 +19,13 @@ from collections import namedtuple
 
 from .algebra import Octonion
 from .central import central_roots
-from .polynomials import StandardPolynomial, class_form, companion, reduce_to_linear
+from .polynomials import (
+    ReducedLinearForm,
+    StandardPolynomial,
+    class_form,
+    companion,
+    reduce_to_linear,
+)
 from .solver import verify_root
 
 
@@ -72,7 +78,13 @@ def _membership(phi, lam, side):
     lam^i = e_i lam + g_i on lam's class, its columns read off the structure
     table (``operator_columns``).  By Artin's theorem lam and gamma generate
     an associative subalgebra, so the eigenvector entry lam^i gamma
-    (gamma lam^i) is act applied i times to gamma."""
+    (gamma lam^i) is act applied i times to gamma.
+
+    When E = 0 and G = 0 (``ReducedLinearForm.vanishes``, the rule
+    ``resolve_class`` decides a full class by) the operator is zero, and
+    gamma = 1 with no nullspace: in float mode its entries are then
+    rounding residue, which no pivot decision at their own scale reads as
+    zero.  Exact elimination would return the same e_0."""
     if not phi.is_monic():
         raise ValueError("eigenvalue tests require a monic polynomial")
     phi.algebra.check_same(lam.algebra)
@@ -81,12 +93,17 @@ def _membership(phi, lam, side):
     def act(x):
         return lam * x if side == Side.LEFT else x * lam
 
-    E, G, _ = class_form(phi, *alg.backend.cleared_invariants(lam.vec))
-    columns = alg.backend.operator_columns(E.vec, G.vec, lam.vec, side == Side.RIGHT)
-    kernel = alg.backend.nullspace(columns)
-    if kernel is None:
-        return MembershipReport(False)
-    vec = [Octonion(alg, kernel)]
+    E, G, weights = class_form(phi, *alg.backend.cleared_invariants(lam.vec))
+    # lam's own invariants are not read, and in exact mode would build Fractions
+    red = ReducedLinearForm(E, G, None, None, weights)
+    if red.vanishes(phi, 0) and red.vanishes(phi, 1):
+        vec = [alg.one]
+    else:
+        columns = alg.backend.operator_columns(E.vec, G.vec, lam.vec, side == Side.RIGHT)
+        kernel = alg.backend.nullspace(columns)
+        if kernel is None:
+            return MembershipReport(False)
+        vec = [Octonion(alg, kernel)]
     for _ in range(phi.degree - 1):
         vec.append(act(vec[-1]))
     return MembershipReport(True, kernel_element=vec[0], eigenvector=tuple(vec))

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import NumericFailureError
+
 
 def exact_nullspace_vector(rows):
     """One exact kernel vector of an integer matrix, or None if the matrix
@@ -62,12 +64,14 @@ def float_nullspace_vector(rows, tol):
 
     Pivots are chosen by largest magnitude in the current column and declared
     zero by the ToleranceSpec ``tol`` at the scale of the largest original
-    entry.  The vector is
-    normalized to unit max-coordinate.
+    entry.  The vector is normalized to unit max-coordinate.  An entry that
+    is not finite raises NumericFailureError: no pivot decision holds then.
     """
     m = [[float(x) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0])
+    if not all(math.isfinite(e) for row in m for e in row):
+        raise NumericFailureError("float64 overflow: an eigenvalue operator entry is not finite")
     scale = max((abs(e) for row in m for e in row), default=0.0) or 1.0
     pivots = []
     r = 0

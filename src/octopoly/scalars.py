@@ -34,6 +34,7 @@ rounding changed in Python 3.12).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from collections import namedtuple
@@ -53,6 +54,8 @@ class ToleranceSpec(namedtuple("ToleranceSpec", "abs_eps rel_eps", defaults=(1e-
     A float ``x`` is "zero at scale s" iff ``|x| <= abs_eps + rel_eps * |s|``;
     octonion tests build s from the norm nu (``Octonion.magnitude``).  Both
     fields (floats, default 1e-10 and 1e-9) must be finite and nonnegative.
+    A bound that is not finite would call everything zero, so it raises
+    NumericFailureError.
     """
 
     __slots__ = ()
@@ -72,7 +75,10 @@ class ToleranceSpec(namedtuple("ToleranceSpec", "abs_eps rel_eps", defaults=(1e-
         return cls(*iterable)
 
     def is_zero(self, x, scale=1.0):
-        return abs(x) <= self.abs_eps + self.rel_eps * abs(scale)
+        bound = self.abs_eps + self.rel_eps * abs(scale)
+        if bound < math.inf:  # False for inf and nan
+            return abs(x) <= bound
+        raise NumericFailureError("float64 overflow: the zero-test scale %r is not finite" % scale)
 
 
 def _compiled_product(rows, start):
@@ -409,13 +415,13 @@ class Float(_Backend):
         self.tol = tol
 
     def coerce(self, value):
-        """Anything float() accepts but a bool or bytes-like object (as in
-        exact mode), plus 'p/q' strings (a string is read by ``literal``),
-        whose value is a finite float64 that is 0 only when the value is."""
-        if isinstance(value, (bool, bytes, bytearray, memoryview)):
-            raise TypeError("cannot use %r as a float scalar" % (value,))
+        """A number (``numbers.Number``) that float() accepts but a bool (as
+        in exact mode), or a string read by ``literal``; its value is a
+        finite float64 that is 0 only when the value is."""
         if isinstance(value, str):
             return self.literal(value)
+        if isinstance(value, bool) or not isinstance(value, numbers.Number):
+            raise TypeError("cannot use %r as a float scalar" % (value,))
         try:
             x = float(value)
         except OverflowError:  # a rational too large for float64

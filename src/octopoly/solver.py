@@ -182,10 +182,10 @@ def solve(phi: StandardPolynomial) -> RootReport:
     """Find all roots of a nonconstant polynomial over a division algebra.
 
     Split algebras (some of alpha, beta, gamma positive) are rejected
-    outright, naming the positive parameters, so Phi of degree below 2n
-    means float64 lost Norm(c_n) > 0.  The companion polynomial's class candidates
-    are resolved independently and in order; resolve_class emits a root or
-    witness only after its one substitution check.
+    outright, naming the positive parameters, so Phi of degree below 2n (or
+    Phi = 0) means float64 lost Norm(c_n) > 0.  The companion polynomial's
+    class candidates are resolved independently and in order; resolve_class
+    emits a root or witness only after its one substitution check.
     """
     if phi.degree < 1:
         raise ValueError("solve needs a polynomial of degree >= 1")
@@ -197,11 +197,15 @@ def solve(phi: StandardPolynomial) -> RootReport:
             "the algebra is split (%s, so its norm form is indefinite); roots "
             "are only classified over division algebras" % positive
         )
-    Phi = companion(phi)
-    if Phi.degree < 2 * phi.degree:
+    try:
+        Phi = companion(phi)
+    except ValueError:  # every companion coefficient underflowed to 0
+        Phi = None
+    if Phi is None or Phi.degree < 2 * phi.degree:
+        lost = "is 0" if Phi is None else "has degree %d < %d" % (Phi.degree, 2 * phi.degree)
         raise NumericFailureError(
             "float64 underflow: the norm of the leading coefficient is 0, "
-            "so the companion polynomial has degree %d < %d" % (Phi.degree, 2 * phi.degree)
+            "so the companion polynomial %s" % lost
         )
     found = central_roots(Phi, tol=alg.tol)
     warnings = list(found.warnings)

@@ -10,6 +10,7 @@ import pytest
 from octopoly import (
     ConfigurationError,
     DIVISION,
+    NumericFailureError,
     OctonionAlgebra,
     SPLIT,
     SingularElementError,
@@ -394,6 +395,41 @@ def test_bools_and_bytes_are_not_scalars(mode, value):
         A.octonion([value] + [0] * 7)
     with pytest.raises(TypeError):
         A.one * value
+
+
+class _FloatLike:
+    """Not a number, but float() reads it."""
+
+    def __float__(self):
+        return 1.0
+
+
+def test_only_numbers_and_strings_are_scalars():
+    # float() reads an object with __float__, but it is no number: float
+    # mode refuses it as exact mode does
+    for mode in ("exact", "float"):
+        A = OctonionAlgebra(-1, -1, -1, mode=mode)
+        with pytest.raises(TypeError):
+            A.scalar(_FloatLike())
+        with pytest.raises(TypeError):
+            A.octonion([_FloatLike()] + [0] * 7)
+
+
+def test_numpy_bools_are_not_scalars():
+    # numpy.bool_ is no subclass of bool, and no registered Number
+    numpy = pytest.importorskip("numpy")
+    for mode in ("exact", "float"):
+        A = OctonionAlgebra(-1, -1, -1, mode=mode)
+        for value in (numpy.True_, numpy.False_):
+            with pytest.raises(TypeError):
+                A.scalar(value)
+
+
+def test_float_inverse_refuses_an_overflowed_norm():
+    # Norm(1e200) = 1e400 and its scale nu^2 are beyond float64
+    A = OctonionAlgebra(-1, -1, -1, mode="float")
+    with pytest.raises(NumericFailureError, match="^float64 overflow: "):
+        A.scalar_octonion(1e200).inverse()
 
 
 def test_bad_parameters():

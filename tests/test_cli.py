@@ -262,6 +262,20 @@ def test_cli_eigen_golden(capsys):
         assert doc["member"] is False and doc["kernel_element"] is None
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cli_float_eigen_at_a_full_class_and_at_an_overflow(side, capsys):
+    # float solve reports the class of 1414.2135623730951*i full, so every
+    # point of it is an eigenvalue; at 1e150*i the operator of z^3 + 1e200
+    # overflows, which exits 4 (exact mode: no member)
+    argv = ["eigen", "--mode", "float", "--side", side]
+    assert main(argv + ["--poly", "z^2 + 2e6", "--lambda", "1414.2135623730951*i"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["member"] is True and doc["kernel_element"] == "1"
+    assert main(argv + ["--poly", "z^3 + 1e200", "--lambda", "1e150*i"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("numeric failure: float64 overflow: ")
+
+
 def test_cli_exit_codes(capsys):
     assert main(["solve", "--gamma", "1", "--poly", "z + i"]) == 3
     assert main(["solve", "--poly", "2*m"]) == 2
@@ -426,13 +440,15 @@ def test_cli_malformed_number_exits_2(argv, mode, capsys):
         ("z^2 + 1e160*z + 1", "overflow"),
         ("1e-170*z^2 + 1", "underflow"),
         ("1e-160*z + 1", "overflow"),
+        ("1e-200*z + 1e-200*i", "underflow"),
         ("z^8 + (4.5446453720950753e+18 + 4.5446453720950753e+18*i)*z^7 + 1", "overflow"),
     ],
 )
 def test_cli_float_range_loss_exits_4(poly, what, capsys):
     # a companion coefficient or class invariant outside float64, a leading
-    # norm that underflows to 0, or a root approximation at which |Phi| has
-    # no float64 value is a numeric failure named as such
+    # norm that underflows to 0 (with every other companion coefficient, the
+    # next to last case), or a root approximation at which |Phi| has no
+    # float64 value is a numeric failure named as such
     assert main(["solve", "--mode", "float", "--poly", poly]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

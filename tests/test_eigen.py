@@ -8,6 +8,7 @@ import pytest
 from octopoly import (
     FULL_CLASS,
     SINGLE_ROOT,
+    NumericFailureError,
     OctonionAlgebra,
     SingularElementError,
     Side,
@@ -483,3 +484,67 @@ def test_verify_eigen_pair_reads_each_magnitude_once(monkeypatch):
     for r, scale in enumerate(scales):
         want = sum(nu(C.entries[r][c]) * nu(vec[c]) for c in range(C.degree)) + nu(lam) * nu(vec[r])
         assert scale.hex() == want.hex()
+
+
+@pytest.mark.parametrize("params", [(-1, -1, -1), (-2, -3, -5), (-7, -11, -13)])
+@pytest.mark.parametrize(
+    "text", ["z^2 + 2e6", "z^4 + 60*z^3 + 2000*z^2 + 48000*z + 960000", "z^2 - 4000*z + 5000000"]
+)
+def test_float_points_of_reported_classes_are_members(params, text):
+    # by the paper every point of a root class is a left and a right
+    # eigenvalue; at a class that float solve reports full, every entry of
+    # the operator is rounding residue, which no pivot decision at the
+    # entries' own scale reads as zero.  E = G = 0 by the rule solve uses
+    # decides it: a member with gamma = 1 and a verified eigenvector
+    A = OctonionAlgebra(*params, mode="float")
+    phi = parse_polynomial(text, A)
+    found = solve(phi)
+    points = list(found.roots) + [w for _, _, w in found.full_classes]
+    assert len(found.full_classes) == phi.degree // 2
+    C = companion_matrix(phi)
+    for lam in points:
+        for side, test in ((Side.LEFT, lev_test), (Side.RIGHT, rev_test)):
+            rep = test(phi, lam)
+            assert rep.member and rep.kernel_element == A.one
+            assert verify_eigen_pair(C, lam, rep.eigenvector, side)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_full_class_membership_needs_no_nullspace(mode, monkeypatch):
+    # E = 0 and G = 0 on the class of j for z^2 + 1: gamma = 1 without an
+    # elimination, the e_0 that exact elimination of the zero operator gives
+    A = OctonionAlgebra(-1, -1, -1, mode=mode)
+    phi = parse_polynomial("z^2 + 1", A)
+    lam = A.basis_element(2)
+
+    def refuse(self, columns):
+        raise AssertionError("nullspace called")
+
+    monkeypatch.setattr(type(A.backend), "nullspace", refuse)
+    for test in (lev_test, rev_test):
+        rep = test(phi, lam)
+        assert rep.member and rep.kernel_element == A.one
+        assert rep.eigenvector == (A.one, lam)
+
+
+def test_float_eigen_tests_refuse_an_overflowed_operator():
+    # on the class of 1e150 i, z^3 + 1e200 reduces to -1e300 z + 1e200, so
+    # the operator's entries overflow: exit 4, not the member that the
+    # infinite pivot scale made of it (exact mode: no member)
+    A = OctonionAlgebra(-1, -1, -1, mode="float")
+    phi, lam = parse_polynomial("z^3 + 1e200", A), A.parse("1e150*i")
+    for test in (lev_test, rev_test):
+        with pytest.raises(NumericFailureError, match="^float64 overflow: "):
+            test(phi, lam)
+    exact = OctonionAlgebra(-1, -1, -1)
+    phi_exact = parse_polynomial("z^3 + %d" % 10**200, exact)
+    assert not lev_test(phi_exact, exact.parse("%d*i" % 10**150)).member
+
+
+def test_verify_eigen_pair_refuses_an_infinite_scale():
+    # a zero test at scale inf would accept anything
+    A = OctonionAlgebra(-1, -1, -1, mode="float")
+    phi, lam = parse_polynomial("z^3 + 1e200", A), A.parse("1e150*i")
+    vec = (A.one, lam, lam * lam)
+    with pytest.raises(NumericFailureError, match="^float64 overflow: "):
+        verify_eigen_pair(companion_matrix(phi), lam, vec, Side.LEFT)

@@ -10,6 +10,7 @@ from octopoly import (
     ConfigurationError,
     ExactFactorization,
     MembershipReport,
+    NumericFailureError,
     ReducedLinearForm,
     ToleranceSpec,
 )
@@ -114,3 +115,12 @@ def test_tolerance_spec_rejects_bad_values(bad):
             ToleranceSpec(*args, **kwargs)
     with pytest.raises(ConfigurationError):
         ToleranceSpec()._replace(rel_eps=bad)
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("-inf"), float("nan"), 1e308])
+def test_tolerance_spec_refuses_a_scale_whose_bound_is_not_finite(scale):
+    # abs_eps + rel_eps * |scale| not finite would call everything zero;
+    # at rel_eps = 10, scale 1e308 gives the bound inf
+    with pytest.raises(NumericFailureError, match="^float64 overflow: "):
+        ToleranceSpec(rel_eps=10.0).is_zero(1.0, scale)
+    assert ToleranceSpec().is_zero(1.0, 1e308) and not ToleranceSpec().is_zero(1.0, 1.0)
